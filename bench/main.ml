@@ -16,7 +16,11 @@
 
    Every run also writes BENCH_pipeline.json: per-experiment wall time
    plus mining throughput and the peak invariant count when the corpus
-   was mined — the machine-readable perf trajectory.
+   was mined, and one metric block per gated experiment — the
+   machine-readable perf trajectory. A gated experiment (obsbench,
+   cachebench, fuzzbench, minebench, mutbench, lakebench, servebench)
+   prints its verdict; if any gate failed, the run exits 1 once the JSON
+   is written.
 
    Absolute numbers differ from the paper (the substrate is an ISA-level
    simulator and a synthetic trace corpus, see DESIGN.md); the shapes are
@@ -40,8 +44,11 @@ let jobs = ref (Util.Parallel.default_jobs ())
    BENCH_pipeline.json when the process exits. *)
 let experiment_seconds : (string * float) list ref = ref []
 
-(* Filled by obsbench; lands in BENCH_pipeline.json's "overhead" block. *)
-let overhead_result : (string * float) list ref = ref []
+(* Metric blocks (key, metrics) the gated experiments filled, newest
+   first; each lands as one object in BENCH_pipeline.json. *)
+let blocks : (string * (string * float) list) list ref = ref []
+
+let add_block key metrics = blocks := (key, metrics) :: !blocks
 
 let mining = lazy (Pipeline.mine ~jobs:!jobs ())
 
@@ -508,9 +515,6 @@ let parbench () =
 
 (* ---- incremental mining: cold vs. warm snapshot cache ---- *)
 
-(* Filled by cachebench; lands in BENCH_pipeline.json's "cache" block. *)
-let cache_result : (string * float) list ref = ref []
-
 let cachebench () =
   header "Incremental mining: cold vs. warm snapshot cache";
   let dir =
@@ -563,14 +567,15 @@ let cachebench () =
   let pass = warm_equal && repaired_equal && stale_seen > 0 && speedup >= 5.0 in
   pf "cachebench gate (warm==cold, stale rejected, >=5x): %s\n"
     (if pass then "PASS" else "FAIL");
-  cache_result :=
+  add_block "cache"
     [ ("cold_s", cold.Pipeline.seconds);
       ("warm_s", warm.Pipeline.seconds);
       ("speedup", speedup);
       ("warm_equal", if warm_equal then 1.0 else 0.0);
       ("stale_rejected", if repaired_equal && stale_seen > 0 then 1.0 else 0.0) ];
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+  Unix.rmdir dir;
+  pass
 
 (* ---- fuzzbench: the generated corpus extends Figure 3 ---- *)
 
@@ -579,9 +584,6 @@ let cachebench () =
 let fuzz_seed = 42
 let fuzz_budget = 60
 let fuzz_min_new = 10
-
-(* Filled by fuzzbench; lands in BENCH_pipeline.json's "fuzz" block. *)
-let fuzz_result : (string * float) list ref = ref []
 
 let fuzzbench () =
   header "Fuzzbench: coverage-guided generated programs extend Figure 3";
@@ -680,7 +682,7 @@ let fuzzbench () =
       fig3 shape, FP not up): %s\n"
     fuzz_min_new
     (if pass then "PASS" else "FAIL");
-  fuzz_result :=
+  add_block "fuzz"
     [ ("seed", float_of_int fuzz_seed);
       ("budget", float_of_int fuzz_budget);
       ("accepted", float_of_int accepted);
@@ -695,12 +697,10 @@ let fuzzbench () =
       ("fp_delta", float_of_int fp_delta) ];
   Workloads.Suite.reset_registered ();
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+  Unix.rmdir dir;
+  pass
 
 (* ---- minebench: the streaming hot path vs the frozen pre-change miner ---- *)
-
-(* Filled by minebench; lands in BENCH_pipeline.json's "minebench" block. *)
-let mine_result : (string * float) list ref = ref []
 
 (* Speedup acceptance floor. The measured margin is well above this
    (roughly 3-4x on the reference machine); the floor leaves room for
@@ -837,7 +837,7 @@ let minebench () =
   pf "minebench gate (state identical, stream==replay==sharded, seq==par, \
       >=1.5x): %s\n"
     (if pass then "PASS" else "FAIL");
-  mine_result :=
+  add_block "minebench"
     [ ("records", float_of_int records);
       ("baseline_s", base_s);
       ("current_s", cur_s);
@@ -846,12 +846,10 @@ let minebench () =
       ("speedup", speedup);
       ("dcache_hits", float_of_int dc_hits);
       ("dcache_misses", float_of_int dc_misses);
-      ("identical", if identical then 1.0 else 0.0) ]
+      ("identical", if identical then 1.0 else 0.0) ];
+  pass
 
 (* ---- mutbench: compiled SCI monitors + the mutant-at-scale campaign ---- *)
-
-(* Filled by mutbench; lands in BENCH_pipeline.json's "mutbench" block. *)
-let mut_result : (string * float) list ref = ref []
 
 (* Compiled-vs-interpretive speedup acceptance floor over the full
    corpus. The measured margin is well above this on the reference
@@ -955,7 +953,7 @@ let mutbench () =
   pf "mutbench gate (compiled==interpretive, >=%.0fx, table1 >= baseline, \
       >=200 mutants deterministic): %s\n"
     mutbench_floor (if pass then "PASS" else "FAIL");
-  mut_result :=
+  let metrics =
     [ ("records", float_of_int !total_records);
       ("assertions", float_of_int (List.length battery));
       ("interp_s", !interp_s);
@@ -982,11 +980,11 @@ let mutbench () =
               else cl.class_mean_latency);
              (p ^ "_fp_rate", cl.class_fp_rate) ])
         camp.classes
+  in
+  add_block "mutbench" metrics;
+  pass
 
 (* ---- lakebench: the on-disk trace lake vs live simulation ---- *)
-
-(* Filled by lakebench; lands in BENCH_pipeline.json's "lakebench" block. *)
-let lake_result : (string * float) list ref = ref []
 
 (* Replication factor for the out-of-core lane. Segment blocks are
    self-contained (deltas reset per block), so concatenating a segment
@@ -1226,7 +1224,7 @@ let lakebench () =
       par ratio >= floor, torn tail rejected): %s\n"
     lakebench_scale
     (if pass then "PASS" else "FAIL");
-  lake_result :=
+  add_block "lakebench"
     [ ("sim_records", float_of_int sim_records);
       ("sim_s", sim_s);
       ("sim_rps", sim_rps);
@@ -1247,11 +1245,10 @@ let lakebench () =
       ("par_seq_identical", if par_seq_identical then 1.0 else 0.0);
       ("warm_hit_identical", if warm_hit_identical then 1.0 else 0.0);
       ("identical", if replay_equal && scaled_equal then 1.0 else 0.0);
-      ("torn_rejected", if torn_rejected then 1.0 else 0.0) ]
+      ("torn_rejected", if torn_rejected then 1.0 else 0.0) ];
+  pass
 
 (* ---- servebench: the mining service under concurrent clients ---- *)
-
-let serve_result : (string * float) list ref = ref []
 
 (* Hundreds of synthetic clients against an in-process server on a Unix
    socket. Three phases: sustained throughput (every client mines into
@@ -1415,7 +1412,7 @@ let servebench () =
   pf "servebench gate (>=200 clients, rps >= 0.8x batch, p99 recorded, \
       busy backpressure, serve==batch): %s\n"
     (if pass then "PASS" else "FAIL");
-  serve_result :=
+  add_block "servebench"
     [ ("clients", float_of_int servebench_clients);
       ("served_records", float_of_int !served);
       ("serve_s", serve_s);
@@ -1425,7 +1422,8 @@ let servebench () =
       ("p50_job_ms", p50_job_ms);
       ("p99_job_ms", p99_job_ms);
       ("busy", float_of_int !busy);
-      ("identical", if identical then 1.0 else 0.0) ]
+      ("identical", if identical then 1.0 else 0.0) ];
+  pass
 
 (* ---- telemetry overhead: the tentpole's < 2% null-sink budget ---- *)
 
@@ -1491,15 +1489,16 @@ let obsbench () =
   pf "instrumentation in one mine run: %d spans + ~%d counter updates\n"
     spans_per_run counter_ops_per_run;
   pf "  -> estimated null-sink overhead: %.4f%% of %.3f s\n" est_pct t_null;
-  pf "null-sink overhead budget < 2%%: %s\n"
-    (if est_pct < 2.0 then "PASS" else "FAIL");
-  overhead_result :=
+  let pass = est_pct < 2.0 in
+  pf "null-sink overhead budget < 2%%: %s\n" (if pass then "PASS" else "FAIL");
+  add_block "overhead"
     [ ("mine_null_s", t_null);
       ("mine_jsonl_s", t_jsonl);
       ("jsonl_delta_pct", jsonl_pct);
       ("span_ns", span_ns);
       ("counter_ns", ctr_ns);
-      ("est_null_overhead_pct", est_pct) ]
+      ("est_null_overhead_pct", est_pct) ];
+  pass
 
 (* ---- Bechamel micro-benchmarks: one kernel per table/figure ---- *)
 
@@ -1585,124 +1584,61 @@ let bechamel () =
 
 (* ---- BENCH_pipeline.json: the machine-readable perf trajectory ---- *)
 
-let json_str s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
 let write_bench_json () =
   let b = Buffer.create 1024 in
-  let bpf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  bpf "{\n";
-  bpf "  \"schema\": \"scifinder.bench/1\",\n";
-  bpf "  \"jobs\": %d,\n" !jobs;
-  bpf "  \"experiments\": [";
+  let add = Buffer.add_string b in
+  let str = Obs.Sink.buf_add_json_string b in
+  let num = Obs.Sink.buf_add_json_float b in
+  add "{\n  \"schema\": \"scifinder.bench/1\",\n";
+  add (Printf.sprintf "  \"jobs\": %d,\n  \"experiments\": [" !jobs);
   List.iteri
     (fun i (id, secs) ->
-       bpf "%s\n    { \"id\": %s, \"seconds\": %s }"
-         (if i = 0 then "" else ",") (json_str id) (json_float secs))
+       add (if i = 0 then "\n    { \"id\": " else ",\n    { \"id\": ");
+       str id;
+       add ", \"seconds\": ";
+       num secs;
+       add " }")
     (List.rev !experiment_seconds);
-  bpf "\n  ]";
+  add "\n  ]";
   (* Mining throughput and the invariant-count peak, but only if this run
      actually mined the corpus (forcing it here would make every cheap
      experiment pay the full mining bill). *)
-  if Lazy.is_val mining then begin
-    let m = Lazy.force mining in
-    let peak =
-      List.fold_left
-        (fun acc (r : Pipeline.figure3_row) -> max acc r.total)
-        0 m.Pipeline.figure3
-    in
-    let rps =
-      if m.Pipeline.seconds > 0.0 then
-        float_of_int m.Pipeline.record_count /. m.Pipeline.seconds
-      else 0.0
-    in
-    bpf ",\n  \"mining\": {\n";
-    bpf "    \"records\": %d,\n" m.Pipeline.record_count;
-    bpf "    \"seconds\": %s,\n" (json_float m.Pipeline.seconds);
-    bpf "    \"records_per_sec\": %s,\n" (json_float rps);
-    bpf "    \"peak_invariants\": %d\n" peak;
-    bpf "  }"
-  end;
-  if !overhead_result <> [] then begin
-    bpf ",\n  \"overhead\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !overhead_result;
-    bpf "\n  }"
-  end;
-  if !cache_result <> [] then begin
-    bpf ",\n  \"cache\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !cache_result;
-    bpf "\n  }"
-  end;
-  if !fuzz_result <> [] then begin
-    bpf ",\n  \"fuzz\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !fuzz_result;
-    bpf "\n  }"
-  end;
-  if !mine_result <> [] then begin
-    bpf ",\n  \"minebench\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !mine_result;
-    bpf "\n  }"
-  end;
-  if !mut_result <> [] then begin
-    bpf ",\n  \"mutbench\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !mut_result;
-    bpf "\n  }"
-  end;
-  if !lake_result <> [] then begin
-    bpf ",\n  \"lakebench\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !lake_result;
-    bpf "\n  }"
-  end;
-  if !serve_result <> [] then begin
-    bpf ",\n  \"servebench\": {";
-    List.iteri
-      (fun i (k, v) ->
-         bpf "%s\n    %s: %s" (if i = 0 then "" else ",")
-           (json_str k) (json_float v))
-      !serve_result;
-    bpf "\n  }"
-  end;
-  bpf "\n}\n";
+  let mining_block =
+    if not (Lazy.is_val mining) then []
+    else begin
+      let m = Lazy.force mining in
+      let peak =
+        List.fold_left
+          (fun acc (r : Pipeline.figure3_row) -> max acc r.total)
+          0 m.Pipeline.figure3
+      in
+      let rps =
+        if m.Pipeline.seconds > 0.0 then
+          float_of_int m.Pipeline.record_count /. m.Pipeline.seconds
+        else 0.0
+      in
+      [ ("mining",
+         [ ("records", float_of_int m.Pipeline.record_count);
+           ("seconds", m.Pipeline.seconds);
+           ("records_per_sec", rps);
+           ("peak_invariants", float_of_int peak) ]) ]
+    end
+  in
+  List.iter
+    (fun (key, metrics) ->
+       add ",\n  ";
+       str key;
+       add ": {";
+       List.iteri
+         (fun i (k, v) ->
+            add (if i = 0 then "\n    " else ",\n    ");
+            str k;
+            add ": ";
+            num v)
+         metrics;
+       add "\n  }")
+    (mining_block @ List.rev !blocks);
+  add "\n}\n";
   let oc = open_out "BENCH_pipeline.json" in
   Fun.protect ~finally:(fun () -> close_out oc)
     (fun () -> Buffer.output_buffer oc b);
@@ -1755,6 +1691,13 @@ let timed id f =
   let (), secs = Obs.Clock.time f in
   experiment_seconds := (id, secs) :: !experiment_seconds
 
+(* Gated experiments whose gate failed; [main] exits 1 on any, after the
+   JSON is written. *)
+let failed_gates = ref []
+
+let gated id f =
+  timed id (fun () -> if not (f ()) then failed_gates := id :: !failed_gates)
+
 let all_order =
   [ "fig3"; "tab2"; "tab3"; "tab4"; "fig4"; "tab5"; "tab6"; "tab7";
     "sec56"; "tab8"; "tab9"; "ablation"; "ablation-coverage";
@@ -1781,13 +1724,13 @@ let () =
     | "ablation-coverage" -> timed id ablation_coverage
     | "ablation-integrity" -> timed id ablation_instruction_integrity
     | "parbench" -> timed id parbench
-    | "obsbench" -> timed id obsbench
-    | "cachebench" -> timed id cachebench
-    | "fuzzbench" -> timed id fuzzbench
-    | "minebench" -> timed id minebench
-    | "mutbench" -> timed id mutbench
-    | "lakebench" -> timed id lakebench
-    | "servebench" -> timed id servebench
+    | "obsbench" -> gated id obsbench
+    | "cachebench" -> gated id cachebench
+    | "fuzzbench" -> gated id fuzzbench
+    | "minebench" -> gated id minebench
+    | "mutbench" -> gated id mutbench
+    | "lakebench" -> gated id lakebench
+    | "servebench" -> gated id servebench
     | "export" -> timed id (fun () -> export (second "bench_data"))
     | "bechamel" -> timed id bechamel
     | other ->
@@ -1797,4 +1740,9 @@ let () =
   (match (match positional with e :: _ -> e | [] -> "all") with
    | "all" -> List.iter dispatch all_order
    | id -> dispatch id);
-  write_bench_json ()
+  write_bench_json ();
+  if !failed_gates <> [] then begin
+    prerr_endline
+      ("gate failed: " ^ String.concat ", " (List.rev !failed_gates));
+    exit 1
+  end

@@ -18,12 +18,11 @@ dune exec bench/check_json.exe -- BENCH_pipeline.json BENCH_metrics.jsonl
 # Bench-trend gate: the synthetic-regression selftest must bite, the
 # fresh headline numbers append to the history, and the latest entry
 # must sit within 20% of the trailing median (fresh histories pass
-# trivially).
-dune exec bench/trend.exe -- selftest | tee /tmp/trend.out
-grep -q 'trend gate (synthetic 20% regression flagged): PASS' /tmp/trend.out
+# trivially). Every gate below — these two and each gated bench/main.exe
+# experiment — exits non-zero when it fails, which stops this script.
+dune exec bench/trend.exe -- selftest
 dune exec bench/trend.exe -- record BENCH_pipeline.json
-dune exec bench/trend.exe -- check | tee /tmp/trendcheck.out
-grep -q 'trend gate (>20% below trailing median fails): PASS' /tmp/trendcheck.out
+dune exec bench/trend.exe -- check
 # Flight-recorder gate: a provenance mine must attribute at least one
 # death per invariant family — candidate, killing workload, record —
 # while writing both telemetry artifacts in one run.
@@ -47,33 +46,28 @@ grep -q 'candidate funnel' /tmp/report.out
 grep -q 'skipped lines: 0' /tmp/report.out
 # Telemetry overhead budget: obsbench prints (and BENCH_pipeline.json
 # records) the estimated null-sink overhead; the gate is < 2%.
-dune exec bench/main.exe -- obsbench | tee /tmp/obsbench.out
-grep -q 'null-sink overhead budget < 2%: PASS' /tmp/obsbench.out
+dune exec bench/main.exe -- obsbench
 # Incremental-mining gate: a warm cache run must be bit-identical to the
 # cold run (invariant set + Figure 3 rows), reject damaged snapshots,
 # and come in at least 5x faster.
-dune exec bench/main.exe -- cachebench | tee /tmp/cachebench.out
-grep -q 'cachebench gate (warm==cold, stale rejected, >=5x): PASS' /tmp/cachebench.out
+dune exec bench/main.exe -- cachebench
 # Fuzzbench gate: the fixed-seed generated corpus must reach the pinned
 # minimum of new coverage points over the 17 hand-written workloads, be
 # byte-identical across same-seed reruns, mine bit-identically through a
 # warm snapshot cache, keep the Figure 3 convergence shape, and not
 # increase identification false positives.
-dune exec bench/main.exe -- fuzzbench -j 2 | tee /tmp/fuzzbench.out
-grep -q 'fuzzbench gate (new coverage >= 10, deterministic, warm identical, fig3 shape, FP not up): PASS' /tmp/fuzzbench.out
+dune exec bench/main.exe -- fuzzbench -j 2
 # Hot-path gate: the streaming miner must beat the frozen pre-change
 # miner (same harness, same corpus) by the acceptance floor, reach
 # byte-identical engine state streaming vs replay, and agree with
 # sharded/parallel mining on the invariant set and Figure 3 rows.
-dune exec bench/main.exe -- minebench | tee /tmp/minebench.out
-grep -q 'minebench gate (state identical, stream==replay==sharded, seq==par, >=1.5x): PASS' /tmp/minebench.out
+dune exec bench/main.exe -- minebench
 # Mutbench gate: the compiled assertion battery must reproduce the
 # interpretive oracle's firing sequence exactly on the full corpus while
 # running at least 2x faster, match the Table 1 detection baseline, and
 # the 200-mutant campaign must classify every mutant into the Section 5.5
 # taxonomy with a seed-stable fingerprint.
-dune exec bench/main.exe -- mutbench | tee /tmp/mutbench.out
-grep -q 'mutbench gate (compiled==interpretive, >=2x, table1 >= baseline, >=200 mutants deterministic): PASS' /tmp/mutbench.out
+dune exec bench/main.exe -- mutbench
 # Lakebench gate: replaying the on-disk trace lake must be bit-identical
 # (SCIFSNAP engine bytes) to live simulation at 1x and at the 100x
 # replicated corpus, stream records off disk at least as fast as the
@@ -83,8 +77,7 @@ grep -q 'mutbench gate (compiled==interpretive, >=2x, table1 >= baseline, >=200 
 # from a -j 4 session with the same digest, and the speedup must clear
 # the 1.8x floor wherever the host has >= 4 cores (waived below that —
 # the byte-identity legs still bind).
-dune exec bench/main.exe -- lakebench | tee /tmp/lakebench.out
-grep -q 'lakebench gate (replay==sim at 1x and 100x, >=100x corpus, disk rps >= sim rps, par digest == seq, warm cache across jobs, par ratio >= floor, torn tail rejected): PASS' /tmp/lakebench.out
+dune exec bench/main.exe -- lakebench
 # The lake round-trips through the CLI: record one workload's segment
 # with trace --record-out, then mine it back out-of-core — sharded
 # across 4 domains, which must not change a single reported number.
@@ -99,8 +92,7 @@ rm -rf /tmp/scif_lake
 # throughput on the same worker count, record a p99 job latency, answer
 # window overflow with explicit busy, and stay byte-identical
 # (SCIFSNAP engine digest) to a direct sequential session.
-dune exec bench/main.exe -- servebench | tee /tmp/servebench.out
-grep -q 'servebench gate (>=200 clients, rps >= 0.8x batch, p99 recorded, busy backpressure, serve==batch): PASS' /tmp/servebench.out
+dune exec bench/main.exe -- servebench
 # Serve CLI smoke: a real daemon on a Unix socket, driven by the client
 # subcommands, then SIGTERM — the graceful path must drain, exit 0, and
 # flush a parseable telemetry stream (the signal-flush guarantee).

@@ -44,19 +44,19 @@ let publish_engine_stats engine =
        set "dead" (fs.born - fs.live))
     (Daikon.Engine.candidate_stats engine)
 
-(* ---- Snapshot cache (warm-restart mining) ----
+(* ---- Caches (warm-restart mining) ----
 
-   Two levels, both living under the caller-supplied cache directory:
+   Every entry lives under the caller-supplied cache directory:
 
      <dir>/<workload>.snap        one Daikon engine shard per workload
-     <dir>/mine-<key16>.summary   the full corpus-level mining result
+     <dir>/mine-<key16>.summary   a full corpus-level mining result
+     <dir>/lake-<key16>.summary   a full lake-level mining result, and
+     <dir>/lake-<key16>.snap      the lake's final engine beside it
 
-   Every entry embeds a cache key — a digest over the codec version, the
-   config fingerprint and everything that determines the traced
-   observations (program image, entry point, tick period) — so a stale
-   entry is positively detected and re-mined rather than silently
-   trusted. Writes are atomic (temp + rename), so a crashed run can
-   never leave a torn entry behind. *)
+   Every entry embeds its cache key, so a stale entry is positively
+   detected and re-mined rather than silently trusted. Writes are atomic
+   (temp + rename), so a crashed run can never leave a torn entry
+   behind. *)
 
 module Cache = struct
   let rec mkdir_p dir =
@@ -66,24 +66,38 @@ module Cache = struct
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     end
 
-  (* The shard key pins down the exact byte stream the tracer would
-     produce plus how the engine would digest it: codec version, config
-     fingerprint, and the workload's name, entry, tick period and full
-     program image. A provenance-mining run additionally folds in a
-     marker, so it never silently adopts a provenance-free snapshot
-     (whose death records would be missing) and vice versa. *)
-  let shard_key ~provenance config (w : Workloads.Rt.t) =
+  (* The one key preamble: entry kind, snapshot codec version, engine
+     semantics version, provenance marker and config fingerprint, then
+     whatever identifies the input. The marker keeps a provenance run
+     from adopting a provenance-free entry (whose death records would be
+     missing), and vice versa. *)
+  let key ~kind ~provenance config add_input =
     let b = Buffer.create 4096 in
     Buffer.add_string b
-      (Printf.sprintf "scifinder-shard/%d\n" Daikon.Engine.codec_version);
+      (Printf.sprintf "scifinder-%s/%d/%d\n" kind Daikon.Engine.codec_version
+         Daikon.Engine.semantics_version);
     if provenance then Buffer.add_string b "provenance\n";
     Buffer.add_string b (Daikon.Config.canonical_string config);
-    Buffer.add_string b
-      (Printf.sprintf "\n%s entry=%d tick=%d\n" w.name w.entry w.tick_period);
-    List.iter
-      (fun (addr, word) -> Buffer.add_string b (Printf.sprintf "%x:%x;" addr word))
-      w.image;
+    Buffer.add_char b '\n';
+    add_input b;
     Digest.to_hex (Digest.string (Buffer.contents b))
+
+  let path dir ~prefix ~ext key =
+    Filename.concat dir
+      (Printf.sprintf "%s-%s.%s" prefix (String.sub key 0 16) ext)
+
+  (* A shard is pinned by the exact byte stream the tracer would
+     produce: the workload's name, entry, tick period and full program
+     image. *)
+  let shard_key ~provenance config (w : Workloads.Rt.t) =
+    key ~kind:"shard" ~provenance config (fun b ->
+        Buffer.add_string b
+          (Printf.sprintf "%s entry=%d tick=%d\n" w.name w.entry
+             w.tick_period);
+        List.iter
+          (fun (addr, word) ->
+             Buffer.add_string b (Printf.sprintf "%x:%x;" addr word))
+          w.image)
 
   (* Registered and fuzz-generated workload names are arbitrary strings;
      percent-encoding pins each one to a single component of [dir] (a
@@ -92,28 +106,33 @@ module Cache = struct
   let shard_path dir name =
     Filename.concat dir (Util.Fsname.encode name ^ ".snap")
 
-  (* None means miss or stale — either way the caller re-traces and
-     overwrites. Distinguishing the two only matters for telemetry. *)
+  (* A miss and a stale entry end alike — the caller re-mines and
+     overwrites — and differ only for telemetry. *)
+  let load_engine ~key ~config path =
+    if not (Sys.file_exists path) then `Miss
+    else
+      match Daikon.Engine.load ~key ~config path with
+      | engine -> `Hit engine
+      | exception
+          (Daikon.Engine.Stale_snapshot _ | Daikon.Engine.Corrupt_snapshot _)
+        ->
+        `Stale
+      | exception Sys_error _ -> `Miss
+
   let load_shard ~config ~provenance dir (w : Workloads.Rt.t) =
-    let path = shard_path dir w.name in
-    if not (Sys.file_exists path) then begin
+    match
+      load_engine ~key:(shard_key ~provenance config w) ~config
+        (shard_path dir w.name)
+    with
+    | `Hit engine ->
+      Obs.Metrics.incr c_cache_hit;
+      Some engine
+    | `Stale ->
+      Obs.Metrics.incr c_cache_stale;
+      None
+    | `Miss ->
       Obs.Metrics.incr c_cache_miss;
       None
-    end
-    else
-      match
-        Daikon.Engine.load ~key:(shard_key ~provenance config w) ~config path
-      with
-      | engine ->
-        Obs.Metrics.incr c_cache_hit;
-        Some engine
-      | exception Daikon.Engine.Stale_snapshot _
-      | exception Daikon.Engine.Corrupt_snapshot _ ->
-        Obs.Metrics.incr c_cache_stale;
-        None
-      | exception Sys_error _ ->
-        Obs.Metrics.incr c_cache_miss;
-        None
 
   let save_shard ~config ~provenance dir (w : Workloads.Rt.t) engine =
     mkdir_p dir;
@@ -205,48 +224,53 @@ let mine_shard ~config ~provenance ~cache_dir (w : Workloads.Rt.t) =
        Cache.save_shard ~config ~provenance dir w shard;
        shard)
 
-(* Trace every named workload into a private shard engine on a bounded
-   pool of domains. Shards come back in corpus order, so the caller's
-   merge order — and therefore every extracted invariant set — is
-   deterministic regardless of how the domains interleaved or which
-   shards came from the cache. *)
-let mine_shards ~config ~provenance ~jobs ~cache_dir ws =
-  (* Capture the submitting span (pipeline.mine) here and re-install it
-     around each task, so shard spans parent correctly even when they
-     close on a pool domain whose own span stack is empty. *)
-  let parent = Obs.Span.current () in
-  Util.Parallel.map
-    ~wrap:(fun th -> Obs.Span.with_context parent th)
-    ~jobs (mine_shard ~config ~provenance ~cache_dir) ws
+(* ---- Summaries: one codec for the corpus and the lake caches ----
 
-(* ---- Corpus-level summary cache ----
-
-   A warm [mine] over an unchanged corpus should not pay for merging and
-   re-extracting invariants either, so the full mining result (Figure 3
-   rows, coverage, and the invariant set in the {!Invariant.Io} text
-   grammar) is persisted alongside the shards. The key folds in every
-   shard key in corpus order plus the group structure and labels, so any
-   change to config, codec, images, grouping or labelling misses. *)
+   A warm [mine] over an unchanged corpus, or a warm [Session.mine_lake]
+   over an unchanged lake, should not pay for merging and re-extracting
+   invariants either, so the full mining result (Figure 3 rows, record
+   count, trace bytes, coverage, and the invariant set in the
+   {!Invariant.Io} text grammar) is persisted alongside the engines as
+   [mine-<key16>.summary] or [lake-<key16>.summary]. *)
 
 let summary_magic = "SCIFSUMM"
 
-let summary_key ~config ~groups ~labels =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf "scifinder-summary/%d\n" Daikon.Engine.codec_version);
-  List.iter2
-    (fun group label ->
-       Buffer.add_string b ("[" ^ label ^ "]");
-       List.iter
-         (fun w ->
-            Buffer.add_string b
-              (Cache.shard_key ~provenance:false config w ^ ";"))
-         group)
-    groups labels;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+(* The payload layout, part of every summary key: bump it with any
+   change to [encode_summary], so an entry in an older layout misses
+   instead of being misread. *)
+let summary_format = 2
 
-let summary_path dir key =
-  Filename.concat dir (Printf.sprintf "mine-%s.summary" (String.sub key 0 16))
+(* A corpus summary folds in every shard key in corpus order plus the
+   group structure and labels, so any change to config, codec, images,
+   grouping or labelling misses. *)
+let summary_key ~config ~groups ~labels =
+  Cache.key ~kind:(Printf.sprintf "summary/%d" summary_format)
+    ~provenance:false config (fun b ->
+      List.iter2
+        (fun group label ->
+           Buffer.add_string b ("[" ^ label ^ "]");
+           List.iter
+             (fun w ->
+                Buffer.add_string b
+                  (Cache.shard_key ~provenance:false config w ^ ";"))
+             group)
+        groups labels)
+
+(* A lake summary folds in every segment's per-block MD5 digests
+   (readable from the frame headers without decoding a single payload),
+   so touching any byte of the lake — appending a block, replacing a
+   segment — misses positively. The key also names the lake's final
+   engine, [lake-<key16>.snap], which a warm session adopts whole. *)
+let lake_key ~config segments =
+  Cache.key ~kind:(Printf.sprintf "lake/%d" summary_format)
+    ~provenance:false config (fun b ->
+      List.iter
+        (fun path ->
+           Buffer.add_string b (Filename.basename path);
+           Buffer.add_char b ':';
+           List.iter (Buffer.add_string b) (Trace.Segment.block_digests path);
+           Buffer.add_char b ';')
+        segments)
 
 let encode_summary ~key (m : mining) =
   let p = Util.Binio.writer () in
@@ -260,6 +284,7 @@ let encode_summary ~key (m : mining) =
        Util.Binio.write_uint p r.total)
     m.figure3;
   Util.Binio.write_uint p m.record_count;
+  Util.Binio.write_uint p m.trace_bytes;
   Util.Binio.write_uint p (List.length m.mnemonic_coverage);
   List.iter (Util.Binio.write_string p) m.mnemonic_coverage;
   Util.Binio.write_string p
@@ -304,13 +329,13 @@ let decode_summary ~key data =
               { group_label; unmodified; fresh; deleted; total })
         in
         let record_count = Util.Binio.read_uint p in
+        let trace_bytes = Util.Binio.read_uint p in
         let mnemonic_coverage =
           read_seq (Util.Binio.read_uint p) (fun () -> Util.Binio.read_string p)
         in
         let invariants = Invariant.Io.of_string (Util.Binio.read_string p) in
         Some
-          { invariants; figure3; record_count;
-            trace_bytes = record_count * Trace.Var.total * 8;
+          { invariants; figure3; record_count; trace_bytes;
             mnemonic_coverage; prov = None; seconds = 0.0 }
       end
     end
@@ -319,17 +344,19 @@ let decode_summary ~key data =
   | exception Util.Binio.Truncated -> None
   | exception Invariant.Io.Parse_error _ -> None
 
-let load_summary dir ~key =
-  let path = summary_path dir key in
+let load_summary dir ~prefix ~key =
+  let path = Cache.path dir ~prefix ~ext:"summary" key in
   if not (Sys.file_exists path) then None
   else
     match Util.Binio.read_file path with
     | data -> decode_summary ~key data
     | exception Sys_error _ -> None
 
-let save_summary dir ~key m =
+let save_summary dir ~prefix ~key m =
   Cache.mkdir_p dir;
-  Util.Binio.atomic_write (summary_path dir key) (encode_summary ~key m)
+  Util.Binio.atomic_write
+    (Cache.path dir ~prefix ~ext:"summary" key)
+    (encode_summary ~key m)
 
 let missing_mnemonics engine =
   let seen = Hashtbl.create 97 in
@@ -378,29 +405,10 @@ let absorb_shard engine shard =
   Obs.Metrics.add c_merge_ns (Int64.to_int (Obs.Clock.ns_since m0));
   Obs.Metrics.incr c_merges
 
-(* Replay one lake segment into an engine, block by block, under the
-   same span the live [mine_lake] fold always used. Scratch decode and
-   read-ahead are safe here: the engine copies the values it keeps at
-   observation, so nothing aliases the recycled rows past the fold. *)
-let replay_segment_into engine path =
-  let (), info =
-    Obs.Span.with_ ~name:"lake.replay"
-      ~attrs:[ ("segment", Obs.Sink.S (Filename.basename path)) ]
-      (fun () ->
-         Trace.Segment.fold
-           ~on_workload:(Daikon.Engine.set_workload engine)
-           ~read_ahead:true
-           ~scratch:(Trace.Segment.scratch ())
-           ~init:()
-           ~f:(fun () r -> Daikon.Engine.observe engine r)
-           path)
-  in
-  info
-
-(* Replay one shard-plan span into a fresh engine on the calling
-   domain. The per-span engines later merge in span order, so the
-   workload attribution [set_workload] writes here matches what a
-   sequential fold of the same blocks would have written. *)
+(* Replay one shard-plan span of a lake segment into [engine], block by
+   block. Scratch decode and read-ahead are safe here: the engine copies
+   the values it keeps at observation, so nothing aliases the recycled
+   rows past the fold. *)
 let replay_span_into engine (sp : Trace.Segment.span) =
   let (), info =
     Obs.Span.with_ ~name:"lake.replay"
@@ -421,144 +429,39 @@ let replay_span_into engine (sp : Trace.Segment.span) =
   in
   info
 
-(* ---- Lake-level warm cache ----
+(* The one shard-or-fold rule of phase 1, for workloads and lake spans
+   alike. Without a pool, consuming unit [i] folds it straight into
+   [engine] — the paper's sequential setup and the byte-identity
+   reference. With one, every unit first folds into its own shard
+   engine on a pool of [jobs] domains, and consuming unit [i] merges
+   shard [i] into [engine]. Callers consume units in order, so the
+   merge order — and every extracted invariant set — does not depend on
+   how the domains interleaved or which shards came from a cache. *)
+let fold_plan ~pool ~jobs engine ~fold_into ~shard units =
+  if not pool then fun i -> fold_into engine units.(i)
+  else begin
+    (* Capture the submitting span here and re-install it around each
+       task, so shard spans parent correctly even when they close on a
+       pool domain whose own span stack is empty. *)
+    let parent = Obs.Span.current () in
+    let shards =
+      Util.Parallel.map
+        ~wrap:(fun th -> Obs.Span.with_context parent th)
+        ~jobs shard units
+    in
+    fun i ->
+      let s, info = shards.(i) in
+      absorb_shard engine s;
+      info
+  end
 
-   The analogue of the corpus summary for [mine_lake]: the cache key is
-   a digest over the codec version, the config fingerprint and every
-   segment's per-block MD5 digests (readable from the frame headers
-   without decoding a single payload), so touching any byte of the lake
-   — appending a block, replacing a segment — misses positively. A hit
-   restores the full mining result from [lake-<key>.summary]; the final
-   engine is persisted alongside as [lake-<key>.snap] so a serve session
-   mining the same lake adopts it whole (bit-identical snapshot bytes —
-   the codec is canonical). *)
-
-module Lake_cache = struct
-  let lake_magic = "SCIFLAKE"
-
-  let key ~config ~provenance segments =
-    let b = Buffer.create 4096 in
-    Buffer.add_string b
-      (Printf.sprintf "scifinder-lake/%d\n" Daikon.Engine.codec_version);
-    if provenance then Buffer.add_string b "provenance\n";
-    Buffer.add_string b (Daikon.Config.canonical_string config);
-    Buffer.add_char b '\n';
-    List.iter
-      (fun path ->
-         Buffer.add_string b (Filename.basename path);
-         Buffer.add_char b ':';
-         List.iter (Buffer.add_string b) (Trace.Segment.block_digests path);
-         Buffer.add_char b ';')
-      segments;
-    Digest.to_hex (Digest.string (Buffer.contents b))
-
-  let snap_path dir key =
-    Filename.concat dir (Printf.sprintf "lake-%s.snap" (String.sub key 0 16))
-
-  let sum_path dir key =
-    Filename.concat dir
-      (Printf.sprintf "lake-%s.summary" (String.sub key 0 16))
-
-  (* Same frame discipline as the corpus summary, plus the real on-disk
-     trace_bytes (a lake summary must restore it exactly, not estimate). *)
-  let encode_summary ~key (m : mining) =
-    let p = Util.Binio.writer () in
-    Util.Binio.write_uint p (List.length m.figure3);
-    List.iter
-      (fun r ->
-         Util.Binio.write_string p r.group_label;
-         Util.Binio.write_uint p r.unmodified;
-         Util.Binio.write_uint p r.fresh;
-         Util.Binio.write_uint p r.deleted;
-         Util.Binio.write_uint p r.total)
-      m.figure3;
-    Util.Binio.write_uint p m.record_count;
-    Util.Binio.write_uint p m.trace_bytes;
-    Util.Binio.write_uint p (List.length m.mnemonic_coverage);
-    List.iter (Util.Binio.write_string p) m.mnemonic_coverage;
-    Util.Binio.write_string p
-      (String.concat "\n" (List.map Expr.to_string m.invariants));
-    let payload = Util.Binio.contents p in
-    let h = Util.Binio.writer () in
-    Util.Binio.write_raw h lake_magic;
-    Util.Binio.write_string h key;
-    Util.Binio.write_raw h (Digest.string payload);
-    Util.Binio.write_string h payload;
-    Util.Binio.contents h
-
-  let decode_summary ~key data =
-    match
-      let r = Util.Binio.reader data in
-      if Util.Binio.read_string_exact r (String.length lake_magic)
-         <> lake_magic
-      then None
-      else if not (String.equal (Util.Binio.read_string r) key) then None
-      else begin
-        let digest = Util.Binio.read_string_exact r 16 in
-        let payload = Util.Binio.read_string r in
-        if Digest.string payload <> digest then None
-        else begin
-          let p = Util.Binio.reader payload in
-          let figure3 =
-            read_seq (Util.Binio.read_uint p) (fun () ->
-                let group_label = Util.Binio.read_string p in
-                let unmodified = Util.Binio.read_uint p in
-                let fresh = Util.Binio.read_uint p in
-                let deleted = Util.Binio.read_uint p in
-                let total = Util.Binio.read_uint p in
-                { group_label; unmodified; fresh; deleted; total })
-          in
-          let record_count = Util.Binio.read_uint p in
-          let trace_bytes = Util.Binio.read_uint p in
-          let mnemonic_coverage =
-            read_seq (Util.Binio.read_uint p) (fun () ->
-                Util.Binio.read_string p)
-          in
-          let invariants =
-            Invariant.Io.of_string (Util.Binio.read_string p)
-          in
-          Some
-            { invariants; figure3; record_count; trace_bytes;
-              mnemonic_coverage; prov = None; seconds = 0.0 }
-        end
-      end
-    with
-    | m -> m
-    | exception Util.Binio.Truncated -> None
-    | exception Invariant.Io.Parse_error _ -> None
-
-  let load_summary dir ~key =
-    let path = sum_path dir key in
-    if not (Sys.file_exists path) then None
-    else
-      match Util.Binio.read_file path with
-      | data -> decode_summary ~key data
-      | exception Sys_error _ -> None
-
-  let save dir ~key engine m =
-    Cache.mkdir_p dir;
-    Daikon.Engine.save ~key engine (snap_path dir key);
-    Util.Binio.atomic_write (sum_path dir key) (encode_summary ~key m)
-
-  let load_engine ~config dir ~key =
-    let path = snap_path dir key in
-    if not (Sys.file_exists path) then None
-    else
-      match Daikon.Engine.load ~key ~config path with
-      | engine -> Some engine
-      | exception Daikon.Engine.Stale_snapshot _
-      | exception Daikon.Engine.Corrupt_snapshot _
-      | exception Sys_error _ ->
-        None
-end
-
-(* ---- Sessions: the incremental entry points the batch paths ride on.
+(* ---- Sessions: every phase-1 mining run goes through one.
 
    A session owns one engine plus the Figure 3 diff state and remembers
    every source it absorbed (workloads for re-streaming, lake dirs for
    re-folding) so imported invariants can later be checked against its
-   corpus. [scifinder serve] holds one per client; [mine_cold] below is
-   now a thin wrapper: create a session, feed it the corpus groups. *)
+   corpus. [scifinder serve] holds one per client; the batch entry
+   points below each run a fresh one. *)
 
 module Session = struct
   type source =
@@ -592,26 +495,14 @@ module Session = struct
 
   let source_count t = List.length t.sources
 
-  (* Shard-or-stream plan, exactly the batch rule: [jobs <= 1] with no
-     cache streams straight into the session engine (the paper's
-     sequential setup, byte-identical to a live run); anything else
-     mines per-workload shards and merges them in order. *)
-  let shard_plan t ws =
-    if t.jobs <= 1 && t.cache_dir = None then None
-    else
-      Some
-        (mine_shards ~config:t.config ~provenance:t.provenance ~jobs:t.jobs
-           ~cache_dir:t.cache_dir (Array.of_list ws))
-
-  let absorb_list t shards idx ws =
-    List.iter
-      (fun w ->
-         (match shards with
-          | Some shards -> absorb_shard t.engine shards.(!idx)
-          | None -> trace_workload_into t.engine w);
-         incr idx;
-         t.sources <- Src_workload w :: t.sources)
-      ws
+  (* The mining result over the session engine, for a call that added
+     [records] records. *)
+  let result t ~figure3 ~records ~trace_bytes =
+    let invariants = invariants t in
+    { invariants; figure3; record_count = records; trace_bytes;
+      mnemonic_coverage = missing_mnemonics t.engine;
+      prov = prov_report ~provenance:t.provenance t.engine invariants;
+      seconds = 0.0 }
 
   let snapshot_row t ~label =
     let previous = ref t.previous in
@@ -621,18 +512,44 @@ module Session = struct
     Obs.Metrics.add c_mine_deleted row.deleted;
     row
 
-  let mine_groups t ~labels groups =
+  (* Absorb the groups in order, snapshotting a Figure 3 row after each
+     group that carries a label; an unlabelled group skips extraction
+     and leaves [previous] alone, so the next row diffs against the last
+     one a caller asked for. Workloads stream straight into the session
+     engine at [jobs <= 1] with no cache; anything else mines
+     per-workload shards (hitting the shard cache) and merges them in
+     submission order. *)
+  let absorb_groups t groups =
     let before = record_count t in
-    let shards = shard_plan t (List.concat groups) in
+    let absorb =
+      fold_plan ~pool:(t.jobs > 1 || t.cache_dir <> None) ~jobs:t.jobs
+        t.engine ~fold_into:trace_workload_into
+        ~shard:(fun w ->
+            ( mine_shard ~config:t.config ~provenance:t.provenance
+                ~cache_dir:t.cache_dir w,
+              () ))
+        (Array.of_list (List.concat_map snd groups))
+    in
     let idx = ref 0 in
-    let rows = ref [] in
-    List.iter2
-      (fun group label ->
-         absorb_list t shards idx group;
-         rows := snapshot_row t ~label :: !rows)
-      groups labels;
+    let rows =
+      List.fold_left
+        (fun rows (label, group) ->
+           List.iter
+             (fun w ->
+                absorb !idx;
+                incr idx;
+                t.sources <- Src_workload w :: t.sources)
+             group;
+           match label with
+           | Some label -> snapshot_row t ~label :: rows
+           | None -> rows)
+        [] groups
+    in
     Obs.Metrics.add c_mine_records (record_count t - before);
-    List.rev !rows
+    List.rev rows
+
+  let mine_groups t ~labels groups =
+    absorb_groups t (List.map2 (fun l g -> (Some l, g)) labels groups)
 
   type outcome = {
     o_rows : figure3_row list;  (* [] when the caller skipped the diff *)
@@ -644,147 +561,110 @@ module Session = struct
 
   let mine t ?label ?(row = true) ws =
     let before = record_count t in
-    if row then
-      let label = match label with Some l -> l | None -> default_label ws in
-      let rows = mine_groups t ~labels:[ label ] [ ws ] in
-      { o_rows = rows; o_records = record_count t - before }
-    else begin
-      (* No Figure 3 snapshot: absorb without extracting, leaving
-         [previous] alone so the next snapshotted call diffs against the
-         last row the caller actually asked for. *)
-      let shards = shard_plan t ws in
-      absorb_list t shards (ref 0) ws;
-      Obs.Metrics.add c_mine_records (record_count t - before);
-      { o_rows = []; o_records = record_count t - before }
-    end
+    let label =
+      match label with
+      | _ when not row -> None
+      | Some _ -> label
+      | None -> Some (default_label ws)
+    in
+    let o_rows = absorb_groups t [ (label, ws) ] in
+    { o_rows; o_records = record_count t - before }
+
+  (* Fold the lake's segments into the session engine, one Figure 3 row
+     per segment; returns the rows and the on-disk bytes read. The
+     replay follows [fold_plan] over byte-balanced block spans: at
+     [jobs] 1 each segment is one span folded straight into the session
+     engine; above, spans fold into shard engines on the pool and merge
+     in span order — [merge_into] is an exact join and blocks are
+     self-contained, so the engine is byte-identical (canonical
+     SCIFSNAP) either way. Provenance replays stay at [jobs] 1: the
+     death ring is an eviction-lossy trace whose order is part of its
+     meaning. *)
+  let replay_lake t segments =
+    let jobs = if t.provenance then 1 else t.jobs in
+    let spans = Array.of_list (Trace.Segment.shard_spans ~jobs segments) in
+    let replay =
+      fold_plan ~pool:(jobs > 1) ~jobs t.engine ~fold_into:replay_span_into
+        ~shard:(fun sp ->
+            let shard = Daikon.Engine.create ~config:t.config () in
+            (shard, replay_span_into shard sp))
+        spans
+    in
+    let rows = ref [] and bytes = ref 0 and seg_workloads = ref [] in
+    Array.iteri
+      (fun i (sp : Trace.Segment.span) ->
+         let info = replay i in
+         bytes := !bytes + info.Trace.Segment.bytes;
+         List.iter
+           (fun w ->
+              if not (List.mem w !seg_workloads) then
+                seg_workloads := w :: !seg_workloads)
+           info.Trace.Segment.workloads;
+         (* Snapshot when the next span (or the end) leaves the segment;
+            the label is the segment's distinct workloads in
+            first-appearance order. *)
+         if
+           i + 1 = Array.length spans
+           || not (String.equal spans.(i + 1).sp_path sp.sp_path)
+         then begin
+           let label = String.concat "+" (List.rev !seg_workloads) in
+           rows := snapshot_row t ~label :: !rows;
+           seg_workloads := []
+         end)
+      spans;
+    (List.rev !rows, !bytes)
 
   let mine_lake t dir =
     let segments = Trace.Segment.lake_segments dir in
     if segments = [] then
       invalid_arg ("Pipeline.Session.mine_lake: no segments under " ^ dir);
     let before = record_count t in
-    let fresh = before = 0 && t.sources = [] in
-    let key =
+    (* The lake cache serves fresh, provenance-free sessions: a warm hit
+       adopts the cached engine whole — snapshot bytes are canonical, so
+       this is bit-identical to folding every segment again. A session
+       already holding state folds live (merging would perturb the
+       sequential byte identity), and summaries carry no provenance. *)
+    let cache =
       match t.cache_dir with
-      | Some _ when not t.provenance ->
-        Some (Lake_cache.key ~config:t.config ~provenance:t.provenance
-                segments)
+      | Some dir when before = 0 && t.sources = [] && not t.provenance ->
+        Some (dir, lake_key ~config:t.config segments)
       | _ -> None
     in
-    (* Warm path: a fresh session adopts the cached lake engine whole —
-       snapshot bytes are canonical, so this is bit-identical to folding
-       every segment again. A session that already holds state folds
-       live (merging would perturb the sequential byte identity). *)
     let warm =
-      match (fresh, t.cache_dir, key) with
-      | true, Some cdir, Some key ->
-        (match
-           ( Lake_cache.load_engine ~config:t.config cdir ~key,
-             Lake_cache.load_summary cdir ~key )
-         with
-         | Some engine, Some m ->
-           Obs.Metrics.incr c_summary_hit;
-           t.engine <- engine;
-           t.previous <- canon_set m.invariants;
-           Some m
-         | _ ->
-           Obs.Metrics.incr c_summary_miss;
-           None)
-      | _ -> None
+      Option.bind cache (fun (dir, key) ->
+          match
+            ( Cache.load_engine ~key ~config:t.config
+                (Cache.path dir ~prefix:"lake" ~ext:"snap" key),
+              load_summary dir ~prefix:"lake" ~key )
+          with
+          | `Hit engine, Some m ->
+            Obs.Metrics.incr c_summary_hit;
+            t.engine <- engine;
+            t.previous <- canon_set m.invariants;
+            Some m
+          | _ ->
+            Obs.Metrics.incr c_summary_miss;
+            None)
     in
-    match warm with
-    | Some m ->
-      t.sources <- Src_lake dir :: t.sources;
-      m
-    | None ->
-      let disk_bytes = ref 0 in
-      let rows =
-        (* Parallel cold path: shard the lake into byte-balanced block
-           spans, fold each span into its own engine on the domain pool,
-           then merge in span order — [merge_into] is an exact join and
-           blocks are self-contained, so the merged engine is
-           byte-identical (canonical SCIFSNAP) to the sequential fold.
-           Provenance replays stay sequential: the death ring is an
-           eviction-lossy trace whose merge order is part of its
-           meaning. *)
-        if t.jobs > 1 && not t.provenance then begin
-          let spans = Trace.Segment.shard_spans ~jobs:t.jobs segments in
-          let parent = Obs.Span.current () in
-          let shards =
-            Util.Parallel.map
-              ~wrap:(fun th -> Obs.Span.with_context parent th)
-              ~jobs:t.jobs
-              (fun sp ->
-                 let shard =
-                   Daikon.Engine.create ~config:t.config ~provenance:false ()
-                 in
-                 let info = replay_span_into shard sp in
-                 (sp, shard, info))
-              (Array.of_list spans)
-          in
-          let rows = ref [] in
-          (* One Figure 3 row per segment, as the sequential fold
-             produces: merge spans in order, snapshotting when the next
-             span (or the end) leaves the current segment. The label is
-             the segment's distinct workloads in first-appearance
-             order — span infos concatenate to exactly that. *)
-          let seg_workloads = ref [] in
-          Array.iteri
-            (fun i (sp, shard, (info : Trace.Segment.info)) ->
-               absorb_shard t.engine shard;
-               disk_bytes := !disk_bytes + info.Trace.Segment.bytes;
-               List.iter
-                 (fun w ->
-                    if not (List.mem w !seg_workloads) then
-                      seg_workloads := w :: !seg_workloads)
-                 info.Trace.Segment.workloads;
-               let seg_end =
-                 i + 1 = Array.length shards
-                 ||
-                 let next, _, _ = shards.(i + 1) in
-                 not
-                   (String.equal next.Trace.Segment.sp_path
-                      sp.Trace.Segment.sp_path)
-               in
-               if seg_end then begin
-                 let label =
-                   String.concat "+" (List.rev !seg_workloads)
-                 in
-                 rows := snapshot_row t ~label :: !rows;
-                 seg_workloads := []
-               end)
-            shards;
-          List.rev !rows
-        end
-        else
-          List.map
-            (fun path ->
-               let info = replay_segment_into t.engine path in
-               disk_bytes := !disk_bytes + info.Trace.Segment.bytes;
-               let label = String.concat "+" info.Trace.Segment.workloads in
-               snapshot_row t ~label)
-            segments
-      in
-      t.sources <- Src_lake dir :: t.sources;
-      let records = record_count t - before in
-      Obs.Metrics.add c_mine_records records;
-      let invariants = invariants t in
-      let m =
-        { invariants;
-          figure3 = rows;
-          record_count = records;
-          trace_bytes = !disk_bytes;  (* real on-disk bytes *)
-          mnemonic_coverage = missing_mnemonics t.engine;
-          prov = prov_report ~provenance:t.provenance t.engine invariants;
-          seconds = 0.0 }
-      in
-      (match (fresh, t.cache_dir, key) with
-       | true, Some cdir, Some key ->
-         (* The cached summary never carries provenance ([key] is None on
-            a provenance run, so this branch is unreachable then). *)
-         Lake_cache.save cdir ~key t.engine { m with prov = None }
-       | _ -> ());
-      m
+    let m =
+      match warm with
+      | Some m -> m
+      | None ->
+        let figure3, trace_bytes = replay_lake t segments in
+        let records = record_count t - before in
+        Obs.Metrics.add c_mine_records records;
+        let m = result t ~figure3 ~records ~trace_bytes in
+        Option.iter
+          (fun (dir, key) ->
+             Cache.mkdir_p dir;
+             Daikon.Engine.save ~key t.engine
+               (Cache.path dir ~prefix:"lake" ~ext:"snap" key);
+             save_summary dir ~prefix:"lake" ~key m)
+          cache;
+        m
+    in
+    t.sources <- Src_lake dir :: t.sources;
+    m
 
   type check_status = Supported | Violated | Vacuous
 
@@ -855,25 +735,6 @@ module Session = struct
   let save t path = Daikon.Engine.save t.engine path
 end
 
-(* The cold path, now expressed over a session: trace (or load cached
-   shards), merge in corpus order, and snapshot the Figure 3 series
-   group by group. *)
-let mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir () =
-    let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
-    let rows = Session.mine_groups s ~labels groups in
-    let engine = s.Session.engine in
-    let invariants = Daikon.Engine.invariants engine in
-    let record_count = Daikon.Engine.record_count engine in
-    publish_engine_stats engine;
-    let prov = prov_report ~provenance engine invariants in
-    { invariants;
-      figure3 = rows;
-      record_count;
-      trace_bytes = record_count * Trace.Var.total * 8;
-      mnemonic_coverage = missing_mnemonics engine;
-      prov;
-      seconds = 0.0 }
-
 let mine ?(config = Daikon.Config.default)
     ?(workloads = Workloads.Suite.all)
     ?(groups = Workloads.Suite.figure3_groups)
@@ -884,26 +745,35 @@ let mine ?(config = Daikon.Config.default)
     () =
   let groups = List.map (List.map (resolve_exn ~workloads)) groups in
   let body () =
-    match cache_dir with
-    (* The summary cache stores no provenance, so a provenance run only
-       uses the shard-level cache (whose key carries the marker). *)
+    (* A summary stores no provenance, so a provenance run only uses the
+       shard-level cache (whose key carries the marker). *)
+    let cache =
+      match cache_dir with
+      | Some dir when not provenance ->
+        Some (dir, summary_key ~config ~groups ~labels)
+      | _ -> None
+    in
+    match
+      Option.bind cache (fun (dir, key) ->
+          load_summary dir ~prefix:"mine" ~key)
+    with
+    | Some m ->
+      Obs.Metrics.incr c_summary_hit;
+      m
     | None ->
-      mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir:None ()
-    | Some _ when provenance ->
-      mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir ()
-    | Some dir ->
-      let key = summary_key ~config ~groups ~labels in
-      (match load_summary dir ~key with
-       | Some m ->
-         Obs.Metrics.incr c_summary_hit;
-         m
-       | None ->
-         Obs.Metrics.incr c_summary_miss;
-         let m =
-           mine_cold ~config ~provenance ~groups ~labels ~jobs ~cache_dir ()
-         in
-         save_summary dir ~key m;
-         m)
+      if cache <> None then Obs.Metrics.incr c_summary_miss;
+      let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
+      let figure3 = Session.mine_groups s ~labels groups in
+      let records = Session.record_count s in
+      publish_engine_stats s.Session.engine;
+      let m =
+        Session.result s ~figure3 ~records
+          ~trace_bytes:(records * Trace.Var.total * 8)
+      in
+      Option.iter
+        (fun (dir, key) -> save_summary dir ~prefix:"mine" ~key m)
+        cache;
+      m
   in
   let r, seconds =
     Obs.Span.timed ~name:"pipeline.mine"
@@ -919,16 +789,10 @@ let mine_invariants ?(config = Daikon.Config.default)
   Obs.Span.with_ ~name:"pipeline.mine"
     ~attrs:[ ("jobs", Obs.Sink.I jobs) ]
     (fun () ->
-       let engine = Daikon.Engine.create ~config ~provenance () in
-       if jobs <= 1 && cache_dir = None then
-         List.iter (trace_workload_into engine) ws
-       else
-         Array.iter (absorb_shard engine)
-           (mine_shards ~config ~provenance ~jobs ~cache_dir
-              (Array.of_list ws));
-       Obs.Metrics.add c_mine_records (Daikon.Engine.record_count engine);
-       publish_engine_stats engine;
-       Daikon.Engine.invariants engine)
+       let s = Session.create ~config ~jobs ~provenance ?cache_dir () in
+       ignore (Session.mine s ~row:false ws);
+       publish_engine_stats s.Session.engine;
+       Session.invariants s)
 
 (* ---- The trace lake: durable on-disk segments (ROADMAP item 2) ----
 

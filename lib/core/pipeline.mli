@@ -63,9 +63,10 @@ val mine :
 
     [cache_dir] enables incremental mining: each workload's engine shard
     is persisted there as [<workload>.snap] (see {!Daikon.Engine.save}),
-    keyed by a digest of the codec version, the {!Daikon.Config}
-    fingerprint, and the workload's program image, entry point and tick
-    period — a hit skips tracing entirely and goes straight to the merge;
+    keyed by a digest of the codec version, the
+    {!Daikon.Engine.semantics_version}, the {!Daikon.Config} fingerprint,
+    and the workload's program image, entry point and tick period — a
+    hit skips tracing entirely and goes straight to the merge;
     a stale, corrupt or truncated entry is rejected and re-mined. The
     full result (Figure 3 rows, coverage, invariant set) is additionally
     cached as [mine-<key>.summary], so a fully warm run also skips
@@ -132,7 +133,10 @@ val mine_lake :
     filename order — deterministic) through a single engine, one block
     in memory at a time. The result is bit-identical to mining the same
     workload sequence live with [jobs = 1]; [figure3] carries one row
-    per segment file and [trace_bytes] is the real on-disk size.
+    per segment file and [trace_bytes] is the real on-disk size. With
+    [provenance], deaths and witnesses match the live run too, ticks
+    included — except that two appended runs of one workload back to
+    back in a segment read as a single run.
 
     [jobs] (default 1) shards the replay: the lake is cut into
     byte-balanced block spans ({!Trace.Segment.shard_spans}), each span
@@ -145,8 +149,9 @@ val mine_lake :
     meaning.
 
     [cache_dir] enables a lake-level warm cache: the key digests the
-    codec version, the config fingerprint and every segment's per-block
-    MD5 digests (read from the frame headers without decoding payloads),
+    codec and semantics versions, the config fingerprint and every
+    segment's per-block MD5 digests (read from the frame headers without
+    decoding payloads),
     so appending a block or touching any segment re-mines. A warm hit
     restores the full result from [lake-<key>.summary] and adopts the
     engine persisted in [lake-<key>.snap] — bit-identical to the cold
@@ -160,8 +165,9 @@ val mine_lake :
     A session owns one {!Daikon.Engine.t} plus the Figure 3 diff state
     and remembers every source it absorbed, so workloads can be mined
     incrementally, imported invariants checked against the accumulated
-    corpus, and the engine snapshotted at any point. The batch entry
-    points above are thin wrappers over a fresh session. *)
+    corpus, and the engine snapshotted at any point. Every phase-1
+    mining run goes through a session: the batch entry points above
+    each run a fresh one. *)
 
 module Session : sig
   type t

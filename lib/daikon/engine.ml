@@ -1094,6 +1094,11 @@ exception Stale_snapshot of string
 let codec_version = 2
 let snapshot_magic = "SCIFSNAP"
 
+(* Not a codec property: what the engine makes of a trace. Cache keys
+   include it next to [codec_version]; see the interface for when to
+   bump it. *)
+let semantics_version = 1
+
 let encode_vstat w vs =
   Util.Binio.write_int w vs.vmin;
   Util.Binio.write_int w vs.vmax;

@@ -147,6 +147,16 @@ val codec_version : int
     recorder never invalidates or perturbs existing caches; engines
     with provenance append it as a version-2 payload section. *)
 
+val semantics_version : int
+(** The version of what the engine makes of a trace: candidate templates,
+    falsification rules and {!invariants} extraction. Every pipeline
+    cache key includes it, so a cached result mined under older
+    semantics misses instead of serving stale invariant text. Bump it
+    with any change that alters the mined invariants of an unchanged
+    trace — the phase-1 golden file ([test/phase1.golden]) records it
+    next to the digest of the mined invariant text, so such a change
+    shows up there. *)
+
 val save : ?key:string -> t -> string -> unit
 (** Write atomically (temp file + rename): a crashed or concurrent run
     can never leave a torn snapshot at the destination path. [key] is

@@ -36,16 +36,18 @@ let save path invariants =
 
 (* ---- variable-name table ---- *)
 
+(* Built at module initialisation, not lazily: two domains forcing one
+   unforced lazy at once raise [CamlinternalLazy.Undefined]. The table
+   is read-only afterwards, so domains share it safely. *)
 let id_of_name =
-  lazy
-    (let table = Hashtbl.create 256 in
-     List.iter
-       (fun id -> Hashtbl.replace table (Trace.Var.id_name id) id)
-       Trace.Var.all_ids;
-     table)
+  let table = Hashtbl.create 256 in
+  List.iter
+    (fun id -> Hashtbl.replace table (Trace.Var.id_name id) id)
+    Trace.Var.all_ids;
+  table
 
 let lookup_var line_no name =
-  match Hashtbl.find_opt (Lazy.force id_of_name) name with
+  match Hashtbl.find_opt id_of_name name with
   | Some id -> id
   | None -> raise (Parse_error ("unknown variable " ^ name, line_no))
 

@@ -11,7 +11,7 @@ module Pipeline = Scifinder_core.Pipeline
 type t = {
   name : string;
   ps : Pipeline.Session.t;
-  mutable last_active : float;  (* Obs.Clock.now_s at last request *)
+  mutable last_active : float;  (* Obs.Clock.now_s at last activity *)
 }
 
 let create ?cache_dir ~mine_jobs name =
@@ -150,14 +150,22 @@ let execute_exn t ~id (req : Proto.request) : Proto.response =
 
 let execute t ~id req =
   touch t;
-  match execute_exn t ~id req with
-  | r -> r
-  | exception Invariant.Io.Parse_error (m, line) ->
-    fail id "parse error at line %d: %s" line m
-  | exception Trace.Segment.Corrupt_segment m -> fail id "corrupt segment: %s" m
-  | exception Invalid_argument m -> fail id "%s" m
-  | exception Failure m -> fail id "%s" m
-  | exception Sys_error m -> fail id "%s" m
-  | exception Unix.Unix_error (e, op, arg) ->
-    fail id "%s: %s %s" op (Unix.error_message e) arg
-  | exception exn -> fail id "internal error: %s" (Printexc.to_string exn)
+  let response =
+    match execute_exn t ~id req with
+    | r -> r
+    | exception Invariant.Io.Parse_error (m, line) ->
+      fail id "parse error at line %d: %s" line m
+    | exception Trace.Segment.Corrupt_segment m ->
+      fail id "corrupt segment: %s" m
+    | exception Invalid_argument m -> fail id "%s" m
+    | exception Failure m -> fail id "%s" m
+    | exception Sys_error m -> fail id "%s" m
+    | exception Unix.Unix_error (e, op, arg) ->
+      fail id "%s: %s %s" op (Unix.error_message e) arg
+    | exception exn -> fail id "internal error: %s" (Printexc.to_string exn)
+  in
+  (* Idle time runs from the end of the last job: a job longer than the
+     idle timeout would otherwise get its session evicted before its
+     client could send the next request. *)
+  touch t;
+  response

@@ -137,11 +137,12 @@ let c_dc_hit = Obs.Metrics.counter "cpu.decode_cache.hit"
 let c_dc_miss = Obs.Metrics.counter "cpu.decode_cache.miss"
 let c_dc_invalidate = Obs.Metrics.counter "cpu.decode_cache.invalidate"
 
+(* Built at module initialisation, not lazily: two domains forcing one
+   unforced lazy at once raise [CamlinternalLazy.Undefined]. *)
 let exn_counters =
-  lazy
-    (List.map
-       (fun k -> Obs.Metrics.counter ("cpu.exn." ^ Isa.Spr.Vector.name k))
-       Isa.Spr.Vector.all)
+  List.map
+    (fun k -> Obs.Metrics.counter ("cpu.exn." ^ Isa.Spr.Vector.name k))
+    Isa.Spr.Vector.all
 
 let fold_machine_telemetry machine =
   let tel = machine.M.tel in
@@ -152,7 +153,7 @@ let fold_machine_telemetry machine =
     Obs.Metrics.set_max g_mem_high (float_of_int tel.M.mem_high_water);
   List.iteri
     (fun i c -> Obs.Metrics.add c tel.M.exn_entered.(i))
-    (Lazy.force exn_counters);
+    exn_counters;
   let dc_hits, dc_misses, dc_invalidates = M.decode_cache_stats machine in
   Obs.Metrics.add c_dc_hit dc_hits;
   Obs.Metrics.add c_dc_miss dc_misses;

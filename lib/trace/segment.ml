@@ -506,13 +506,19 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
        let blocks = ref 0 in
        let bytes = ref 0 in
        let workloads = ref [] in
+       let previous = ref None in
        let consume (_, payload as frame) =
          let payload_len = String.length payload in
          ignore (verify_frame frame : string);
          let workload, batch = decode_payload ?scratch payload in
          if not (List.mem workload !workloads) then
            workloads := workload :: !workloads;
-         on_workload workload;
+         (* Once per run of same-workload blocks, not per block: a miner
+            resets its per-workload record ordinal here. *)
+         if !previous <> Some workload then begin
+           previous := Some workload;
+           on_workload workload
+         end;
          Array.iter (fun r -> acc := f !acc r) batch;
          records := !records + Array.length batch;
          blocks := !blocks + 1;

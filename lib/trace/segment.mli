@@ -73,9 +73,12 @@ val fold :
   ?scratch:scratch ->
   init:'a -> f:('a -> Record.t -> 'a) -> string -> 'a * info
 (** Stream every record of the segment at [path] through [f], one block
-    in memory at a time. [on_workload] fires per block, before that
-    block's records — a miner hangs {!Daikon.Engine.set_workload} here
-    so death attribution matches a live run. An empty or damaged file
+    in memory at a time. [on_workload] fires before the first block's
+    records and again before any block whose workload differs from the
+    previous block's — a miner hangs {!Daikon.Engine.set_workload} here
+    so death attribution (record ordinals within a workload) matches a
+    live run. The limit: two appended runs of one workload back to back
+    in a segment read as a single run. An empty or damaged file
     raises {!Corrupt_segment}. [read_ahead] (default false) reads the
     next frame off disk on a helper domain while the current block
     decodes; [scratch] recycles decode buffers (see {!scratch} for the
@@ -90,7 +93,8 @@ val fold_range :
   ?last_block:int ->
   init:'a -> f:('a -> Record.t -> 'a) -> string -> 'a * info
 (** {!fold} restricted to the half-open block range
-    [\[first_block, last_block)] (defaults: the whole file). Pre-range
+    [\[first_block, last_block)] (defaults: the whole file);
+    [on_workload] fires on the range's first block. Pre-range
     frames are seeked over with framing checks only; decoding and
     digest verification start at [first_block]. Blocks are
     self-contained — deltas reset at block boundaries — so folding

@@ -262,6 +262,67 @@ let test_provenance_cache () =
           re-mined)"
          (s cold) (s plain))
 
+(* A lake replay attributes deaths and witnesses exactly as live mining
+   of the same workloads in lake order does: ticks count records within
+   a workload, not within a segment block. *)
+let test_lake_provenance_matches_live () =
+  let dir = Filename.temp_file "scifinder_provlake" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter
+          (fun n ->
+             try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+          (Sys.readdir dir);
+        try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+       (* Already in lake (sorted filename) order; 64-record blocks make
+          every workload span several blocks. *)
+       let names = [ "bitcount"; "helloworld"; "pi" ] in
+       List.iter
+         (fun name ->
+            let w = Option.get (Workloads.Suite.by_name name) in
+            Trace.Segment.with_writer ~records_per_block:64 ~workload:name
+              (Trace.Segment.segment_path ~dir ~workload:name)
+              (fun sw ->
+                 ignore
+                   (Trace.Runner.stream_to_segment ~tick_period:w.tick_period
+                      ~entry:w.entry ~writer:sw w.image)))
+         names;
+       let report (m : Pipeline.mining) =
+         match m.Pipeline.prov with
+         | Some pr -> pr
+         | None -> Alcotest.fail "provenance mining returned no report"
+       in
+       let lake = report (Pipeline.mine_lake ~provenance:true dir) in
+       let live =
+         report
+           (Pipeline.mine ~jobs:1 ~provenance:true
+              ~groups:(List.map (fun n -> [ n ]) names) ~labels:names ())
+       in
+       let death (d : Engine.death) =
+         Printf.sprintf "%s %s %s by %s at record %d tick %d" d.d_point
+           d.d_family d.d_desc d.d_workload d.d_record d.d_tick
+       in
+       let witness (i, (w : Engine.witness)) =
+         Printf.sprintf "%s: %s record %d tick %d" (Expr.to_string i)
+           w.w_workload w.w_record w.w_tick
+       in
+       Alcotest.(check bool) "ticks run past one block" true
+         (List.exists (fun (d : Engine.death) -> d.d_tick > 64) live.deaths);
+       Alcotest.(check (list string)) "deaths"
+         (List.map death live.deaths) (List.map death lake.deaths);
+       Alcotest.(check int) "deaths dropped" live.deaths_dropped
+         lake.deaths_dropped;
+       Alcotest.(check (list string)) "first death per family"
+         (List.filter_map (fun (_, _, d) -> Option.map death d)
+            live.death_families)
+         (List.filter_map (fun (_, _, d) -> Option.map death d)
+            lake.death_families);
+       Alcotest.(check (list string)) "witnesses"
+         (List.map witness live.witnesses) (List.map witness lake.witnesses))
+
 let () =
   Alcotest.run "flightrec"
     [ ("neutrality",
@@ -286,5 +347,7 @@ let () =
            test_merge_accumulates_provenance ]);
       ("pipeline",
        [ Alcotest.test_case "provenance report" `Quick test_pipeline_report;
-         Alcotest.test_case "cache composes" `Quick test_provenance_cache ])
+         Alcotest.test_case "cache composes" `Quick test_provenance_cache;
+         Alcotest.test_case "lake replay matches live" `Quick
+           test_lake_provenance_matches_live ])
     ]

@@ -2,7 +2,12 @@
    observationally identical to the sequential run — same invariant set,
    same record accounting, same Figure 3 snapshots — for any job count,
    over the full 17-workload corpus. Plus unit coverage of the domain
-   pool itself. *)
+   pool itself.
+
+   [test_parallel_mine.exe golden] prints the sequential run instead:
+   dune diffs that against [phase1.golden], which pins phase 1 exactly.
+   An intended change is reviewed as that diff and accepted with
+   [dune promote]. *)
 
 module Pipeline = Scifinder_core.Pipeline
 module Expr = Invariant.Expr
@@ -60,15 +65,44 @@ let test_mine_invariants_subset () =
   Alcotest.(check (list string)) "subset corpus equal"
     (List.map Expr.to_string s) (List.map Expr.to_string p)
 
+(* ---- the phase-1 golden ---- *)
+
+let print_golden (m : Pipeline.mining) =
+  print_endline
+    "# Phase 1 (Figure 3): Pipeline.mine ~jobs:1 over the full corpus.";
+  print_endline
+    "# Regenerate after an intended change: dune runtest; dune promote.";
+  List.iter
+    (fun (r : Pipeline.figure3_row) ->
+       Printf.printf "row %s unmodified=%d fresh=%d deleted=%d total=%d\n"
+         r.group_label r.unmodified r.fresh r.deleted r.total)
+    m.Pipeline.figure3;
+  Printf.printf "records %d\n" m.Pipeline.record_count;
+  Printf.printf "final total %d\n" (List.length m.Pipeline.invariants);
+  Printf.printf "unobserved mnemonics [%s]\n"
+    (String.concat " " m.Pipeline.mnemonic_coverage);
+  (* The digest and the semantics version sit together so a diff that
+     changes one shows the other. *)
+  print_endline
+    "# A new invariant text digest means extraction changed: bump";
+  print_endline
+    "# Daikon.Engine.semantics_version too, so cached summaries miss.";
+  Printf.printf "semantics version %d\n" Daikon.Engine.semantics_version;
+  Printf.printf "invariant text md5 %s\n"
+    (Digest.to_hex (Digest.string (String.concat "\n" (strings m))))
+
 let () =
-  Alcotest.run "parallel_mine"
-    [ ("parallel",
-       [ Alcotest.test_case "map order" `Quick test_map_order;
-         Alcotest.test_case "map sequential fallback" `Quick
-           test_map_sequential_fallback;
-         Alcotest.test_case "map exception" `Quick test_map_exception ]);
-      ("corpus",
-       [ Alcotest.test_case "subset, 3 shards" `Quick
-           test_mine_invariants_subset;
-         Alcotest.test_case "full corpus, 2 shards" `Slow test_jobs2;
-         Alcotest.test_case "full corpus, 4 shards" `Slow test_jobs4 ]) ]
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "golden" then
+    print_golden (Lazy.force seq)
+  else
+    Alcotest.run "parallel_mine"
+      [ ("parallel",
+         [ Alcotest.test_case "map order" `Quick test_map_order;
+           Alcotest.test_case "map sequential fallback" `Quick
+             test_map_sequential_fallback;
+           Alcotest.test_case "map exception" `Quick test_map_exception ]);
+        ("corpus",
+         [ Alcotest.test_case "subset, 3 shards" `Quick
+             test_mine_invariants_subset;
+           Alcotest.test_case "full corpus, 2 shards" `Slow test_jobs2;
+           Alcotest.test_case "full corpus, 4 shards" `Slow test_jobs4 ]) ]

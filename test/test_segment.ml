@@ -256,7 +256,17 @@ let test_lake_mine_matches_live () =
         (List.map Invariant.Expr.to_string (Engine.invariants live))
         (List.map Invariant.Expr.to_string m.Pipeline.invariants);
       Alcotest.(check int) "one figure3 row per segment" 3
-        (List.length m.Pipeline.figure3))
+        (List.length m.Pipeline.figure3);
+      (* Every job count replays to the live engine's exact bytes. *)
+      List.iter
+        (fun jobs ->
+           let s = Pipeline.Session.create ~jobs () in
+           ignore (Pipeline.Session.mine_lake s dir);
+           Alcotest.(check string)
+             (Printf.sprintf "SCIFSNAP digest at jobs %d" jobs)
+             (Digest.to_hex (Digest.string (Engine.encode live)))
+             (Pipeline.Session.engine_digest s))
+        [ 1; 2; 4 ])
 
 let test_lake_append_accumulates () =
   with_tmp_dir (fun dir ->

@@ -640,6 +640,29 @@ let test_server_sessions_and_eviction () =
          Alcotest.(check bool) "evictions counted" true (evicted >= 2)
        | r -> Alcotest.failf "status: %s" (Serve.Proto.encode_response r)))
 
+(* Idle time runs from the end of a session's last job: a job longer
+   than the idle timeout must not get its session evicted by the next
+   eviction pass, before its client can send another request. *)
+let test_server_long_job_keeps_session () =
+  with_server ~idle_timeout:0.25 (fun path ->
+      let c = Serve.Client.connect_unix path in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let t0 = Obs.Clock.now_s () in
+      ignore
+        (Serve.Client.call c ~session:"long"
+           (mine_names ~row:false Workloads.Suite.names));
+      Alcotest.(check bool) "the job outlasted the idle timeout" true
+        (Obs.Clock.now_s () -. t0 > 0.25);
+      (* Let the job's completion settle, then drive one loop pass (and
+         so one eviction pass) through another connection. *)
+      Unix.sleepf 0.05;
+      ignore (call_one path Serve.Proto.Status);
+      match Serve.Client.call c ~session:"long" (mine_names [ "pi" ]) with
+      | Serve.Proto.Mined { records; total_records; _ } ->
+        Alcotest.(check bool) "session survived its long job" true
+          (total_records > records)
+      | r -> Alcotest.failf "after long job: %s" (Serve.Proto.encode_response r))
+
 let test_server_snapshot_and_shutdown () =
   with_tmp_dir (fun snapdir ->
       with_server (fun path ->
@@ -743,6 +766,8 @@ let () =
            test_server_busy_and_cancel;
          Alcotest.test_case "sessions and eviction" `Quick
            test_server_sessions_and_eviction;
+         Alcotest.test_case "long job keeps its session" `Quick
+           test_server_long_job_keeps_session;
          Alcotest.test_case "snapshot and shutdown" `Quick
            test_server_snapshot_and_shutdown ]);
       ("determinism",
