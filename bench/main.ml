@@ -36,6 +36,32 @@ let pf = Printf.printf
 let header title =
   pf "\n===== %s =====\n" title
 
+(* The timed lanes report the fastest of three runs, with the last
+   run's result. *)
+let best_of_3 f =
+  let best_s = ref infinity and res = ref None in
+  for _ = 1 to 3 do
+    let r, s = Obs.Clock.time f in
+    if s < !best_s then best_s := s;
+    res := Some r
+  done;
+  (Option.get !res, !best_s)
+
+(* Run [f] on a fresh temporary directory, removed with its files
+   however [f] ends. *)
+let with_temp_dir tag f =
+  let dir = Filename.temp_file tag "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+        Array.iter
+          (fun n ->
+             try Sys.remove (Filename.concat dir n) with Sys_error _ -> ())
+          (try Sys.readdir dir with Sys_error _ -> [||]);
+        try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () -> f dir)
+
 (* ---- the shared pipeline run (computed lazily, used by many tables) ---- *)
 
 let jobs = ref (Util.Parallel.default_jobs ())
@@ -517,12 +543,7 @@ let parbench () =
 
 let cachebench () =
   header "Incremental mining: cold vs. warm snapshot cache";
-  let dir =
-    let base = Filename.temp_file "scifinder_cachebench" "" in
-    Sys.remove base;
-    Unix.mkdir base 0o755;
-    base
-  in
+  with_temp_dir "scifinder_cachebench" @@ fun dir ->
   let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
   let strings m = List.map Expr.to_string m.Pipeline.invariants in
   let same a b =
@@ -573,8 +594,6 @@ let cachebench () =
       ("speedup", speedup);
       ("warm_equal", if warm_equal then 1.0 else 0.0);
       ("stale_rejected", if repaired_equal && stale_seen > 0 then 1.0 else 0.0) ];
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
   pass
 
 (* ---- fuzzbench: the generated corpus extends Figure 3 ---- *)
@@ -614,12 +633,7 @@ let fuzzbench () =
     Workloads.Suite.figure3_groups @ [ Fuzz.Corpus.names corpus ]
   in
   let labels = Workloads.Suite.figure3_labels @ [ "fuzz" ] in
-  let dir =
-    let base = Filename.temp_file "scifinder_fuzzbench" "" in
-    Sys.remove base;
-    Unix.mkdir base 0o755;
-    base
-  in
+  with_temp_dir "scifinder_fuzzbench" @@ fun dir ->
   let cold = Pipeline.mine ~jobs:!jobs ~groups ~labels ~cache_dir:dir () in
   let warm = Pipeline.mine ~jobs:!jobs ~groups ~labels ~cache_dir:dir () in
   let strings m = List.map Expr.to_string m.Pipeline.invariants in
@@ -696,8 +710,6 @@ let fuzzbench () =
       ("sci_delta", float_of_int (sci s_ext - sci s_base));
       ("fp_delta", float_of_int fp_delta) ];
   Workloads.Suite.reset_registered ();
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir;
   pass
 
 (* ---- minebench: the streaming hot path vs the frozen pre-change miner ---- *)
@@ -735,20 +747,10 @@ let minebench () =
       corpus;
     engine
   in
-  let reps = 3 in
-  let best f =
-    let best_s = ref infinity and res = ref None in
-    for _ = 1 to reps do
-      let r, s = Obs.Clock.time f in
-      if s < !best_s then best_s := s;
-      res := Some r
-    done;
-    (Option.get !res, !best_s)
-  in
-  let base_engine, base_s = best run_baseline in
+  let base_engine, base_s = best_of_3 run_baseline in
   let hit0 = counter "cpu.decode_cache.hit"
   and miss0 = counter "cpu.decode_cache.miss" in
-  let cur_engine, cur_s = best run_current in
+  let cur_engine, cur_s = best_of_3 run_current in
   let dc_hits = counter "cpu.decode_cache.hit" - hit0
   and dc_misses = counter "cpu.decode_cache.miss" - miss0 in
   let records = Daikon.Engine.record_count cur_engine in
@@ -869,16 +871,6 @@ let mutbench () =
      materialized trace live at a time. The (assertion, step) firing
      sequences must be identical — same firings, same order. *)
   let corpus = Workloads.Suite.all in
-  let reps = 3 in
-  let best f =
-    let best_s = ref infinity and res = ref None in
-    for _ = 1 to reps do
-      let r, s = Obs.Clock.time f in
-      if s < !best_s then best_s := s;
-      res := Some r
-    done;
-    (Option.get !res, !best_s)
-  in
   let total_records = ref 0 in
   let interp_s = ref 0.0 and comp_s = ref 0.0 in
   let identical = ref true in
@@ -889,8 +881,12 @@ let mutbench () =
            w.image
        in
        total_records := !total_records + List.length records;
-       let fi, ti = best (fun () -> Assertions.Monitor.run battery records) in
-       let fc, tc = best (fun () -> Assertions.Compile.run compiled records) in
+       let fi, ti =
+         best_of_3 (fun () -> Assertions.Monitor.run battery records)
+       in
+       let fc, tc =
+         best_of_3 (fun () -> Assertions.Compile.run compiled records)
+       in
        interp_s := !interp_s +. ti;
        comp_s := !comp_s +. tc;
        let key (f : Assertions.Monitor.firing) =
@@ -999,34 +995,9 @@ let lakebench () =
   let corpus =
     List.map (fun n -> Option.get (Workloads.Suite.by_name n)) names
   in
-  let mkdtemp tag =
-    let base = Filename.temp_file tag "" in
-    Sys.remove base;
-    Unix.mkdir base 0o755;
-    base
-  in
-  let rmdir dir =
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (try Sys.readdir dir with Sys_error _ -> [||]);
-    try Unix.rmdir dir with Unix.Unix_error _ -> ()
-  in
-  let dir = mkdtemp "scifinder_lake1" in
-  let scaled = mkdtemp "scifinder_lake100" in
-  let cache_dir = mkdtemp "scifinder_lakecache" in
-  Fun.protect
-    ~finally:(fun () -> rmdir dir; rmdir scaled; rmdir cache_dir)
-  @@ fun () ->
-  let reps = 3 in
-  let best f =
-    let best_s = ref infinity and res = ref None in
-    for _ = 1 to reps do
-      let r, s = Obs.Clock.time f in
-      if s < !best_s then best_s := s;
-      res := Some r
-    done;
-    (Option.get !res, !best_s)
-  in
+  with_temp_dir "scifinder_lake1" @@ fun dir ->
+  with_temp_dir "scifinder_lake100" @@ fun scaled ->
+  with_temp_dir "scifinder_lakecache" @@ fun cache_dir ->
   (* Lane A, the denominator: producing the trace by simulation — the
      only way to get records before the lake existed. Both lanes drain
      records through a trivial observer; this measures trace
@@ -1041,7 +1012,7 @@ let lakebench () =
          n + !count)
       0 corpus
   in
-  let sim_records, sim_s = best simulate in
+  let sim_records, sim_s = best_of_3 simulate in
   let sim_rps = float_of_int sim_records /. Float.max sim_s 1e-9 in
   (* Record the 1x lake, then replicate each segment on disk by raw
      byte concatenation. *)
@@ -1105,7 +1076,7 @@ let lakebench () =
          n + !count)
       0 (Trace.Segment.lake_segments scaled)
   in
-  let disk_records, disk_s = best drain_lake in
+  let disk_records, disk_s = best_of_3 drain_lake in
   let disk_rps = float_of_int disk_records /. Float.max disk_s 1e-9 in
   let lake_bytes =
     List.fold_left
@@ -1136,7 +1107,7 @@ let lakebench () =
     in
     Array.fold_left ( + ) 0 counts
   in
-  let par_records, par_s = best drain_par in
+  let par_records, par_s = best_of_3 drain_par in
   let par_rps = float_of_int par_records /. Float.max par_s 1e-9 in
   let par_ratio = par_rps /. Float.max disk_rps 1e-9 in
   (* The speedup floor only binds where the hardware can deliver it;
@@ -1261,12 +1232,7 @@ let servebench_clients = 220
 
 let servebench () =
   header "Servebench: the mining service under concurrent synthetic clients";
-  let sockdir =
-    let base = Filename.temp_file "scifinder_servebench" "" in
-    Sys.remove base;
-    Unix.mkdir base 0o755;
-    base
-  in
+  with_temp_dir "scifinder_servebench" @@ fun sockdir ->
   let sock = Filename.concat sockdir "bench.sock" in
   let cfg =
     { Serve.Server.listen = Serve.Server.Unix_sock sock;
@@ -1278,9 +1244,7 @@ let servebench () =
   Fun.protect
     ~finally:(fun () ->
         Serve.Server.stop srv;
-        Domain.join srv_domain;
-        (try Sys.remove sock with Sys_error _ -> ());
-        try Unix.rmdir sockdir with Unix.Unix_error _ -> ())
+        Domain.join srv_domain)
   @@ fun () ->
   let rotation = [| "pi"; "helloworld"; "bitcount" |] in
   let workload_of i = rotation.(i mod Array.length rotation) in
@@ -1430,16 +1394,8 @@ let servebench () =
 let obsbench () =
   header "Telemetry overhead: instrumented mining under the null sink";
   let names = [ "pi"; "bitcount"; "helloworld" ] in
-  let reps = 3 in
   let time_mine () =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let _, s =
-        Obs.Clock.time (fun () -> Pipeline.mine_invariants ~jobs:2 ~names ())
-      in
-      if s < !best then best := s
-    done;
-    !best
+    snd (best_of_3 (fun () -> Pipeline.mine_invariants ~jobs:2 ~names ()))
   in
   Obs.Sink.set_global Obs.Sink.null;
   let t_null = time_mine () in
@@ -1478,8 +1434,8 @@ let obsbench () =
     /. (t_null *. 1e9)
   in
   let jsonl_pct = 100.0 *. (t_jsonl -. t_null) /. t_null in
-  pf "mine_invariants (%d workloads, 2 shards), best of %d:\n"
-    (List.length names) reps;
+  pf "mine_invariants (%d workloads, 2 shards), best of 3:\n"
+    (List.length names);
   pf "  null sink:  %8.3f s\n" t_null;
   pf "  JSONL sink: %8.3f s  (%+.2f%% vs null; includes run-to-run noise)\n"
     t_jsonl jsonl_pct;

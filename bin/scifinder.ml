@@ -148,6 +148,17 @@ let mine_invariants ?(names = None) ?cache_dir ~jobs () =
          | Some d -> Printf.sprintf " (cache: %s)" d));
   Scifinder_core.Pipeline.mine_invariants ~jobs ?cache_dir ?names ()
 
+(* Phases 2 and 3 as every SCI-deploying command runs them: through the
+   pipeline, so --metrics and --trace-out carry the pipeline.optimize
+   and pipeline.identify spans and gauges. Returns the optimized set and
+   the identification summary. *)
+let optimize_identify bugs invariants =
+  let optimized =
+    (Scifinder_core.Pipeline.optimize invariants).result.optimized
+  in
+  ( optimized,
+    (Scifinder_core.Pipeline.identify ~invariants:optimized bugs).summary )
+
 let find_bug id =
   match Bugs.Table1.by_id id with
   | Some b -> Ok b
@@ -362,9 +373,9 @@ let identify_cmd =
       Logs.err (fun m -> m "%s" e);
       unknown_bug_exit
     | Ok bugs ->
-      let invariants = load_or_mine ~jobs ?cache_dir input in
-      let optimized = (Invopt.Pipeline.optimize invariants).optimized in
-      let summary = Sci.Identify.run_all ~invariants:optimized bugs in
+      let _, summary =
+        optimize_identify bugs (load_or_mine ~jobs ?cache_dir input)
+      in
       List.iter
         (fun (r : Sci.Identify.report) ->
            Printf.printf "%s: %d SCI, %d false positives, %s\n"
@@ -398,11 +409,10 @@ let infer_cmd =
     setup_metrics metrics trace_out;
     run_guarded @@ fun () ->
     let mining = Scifinder_core.Pipeline.mine ~jobs ?cache_dir () in
-    let optimized =
-      (Scifinder_core.Pipeline.optimize mining.invariants).result.optimized
+    let optimized, summary =
+      optimize_identify Bugs.Table1.all mining.invariants
     in
-    let ident = Scifinder_core.Pipeline.identify ~invariants:optimized Bugs.Table1.all in
-    let inf = Scifinder_core.Pipeline.infer ~all_invariants:optimized ident.summary in
+    let inf = Scifinder_core.Pipeline.infer ~all_invariants:optimized summary in
     Printf.printf
       "model: lambda %.4f, test accuracy %.0f%%, %d features selected\n"
       inf.chosen_lambda (100.0 *. inf.test_accuracy)
@@ -438,9 +448,9 @@ let verify_cmd =
       Logs.err (fun m -> m "%s" e);
       unknown_bug_exit
     | Ok bug ->
-      let invariants = load_or_mine ~jobs ?cache_dir input in
-      let optimized = (Invopt.Pipeline.optimize invariants).optimized in
-      let summary = Sci.Identify.run_all ~invariants:optimized Bugs.Table1.all in
+      let _, summary =
+        optimize_identify Bugs.Table1.all (load_or_mine ~jobs ?cache_dir input)
+      in
       let battery = Assertions.Ovl.of_invariants summary.unique_sci in
       let buggy = Sci.Identify.capture_trigger ~fault:bug.fault bug.trigger in
       let clean = Sci.Identify.capture_trigger bug.trigger in
@@ -484,9 +494,9 @@ let campaign_cmd =
     setup_logs verbose;
     setup_metrics metrics trace_out;
     run_guarded @@ fun () ->
-    let invariants = load_or_mine ~jobs ?cache_dir input in
-    let optimized = (Invopt.Pipeline.optimize invariants).optimized in
-    let summary = Sci.Identify.run_all ~invariants:optimized Bugs.Table1.all in
+    let _, summary =
+      optimize_identify Bugs.Table1.all (load_or_mine ~jobs ?cache_dir input)
+    in
     Logs.info (fun m ->
         m "campaign: %d mutants, %d triggers, %d assertions (seed %d)"
           mutants triggers (List.length summary.unique_sci) seed);
@@ -569,9 +579,9 @@ let verilog_cmd =
     setup_logs verbose;
     setup_metrics metrics trace_out;
     run_guarded @@ fun () ->
-    let invariants = load_or_mine ~jobs ?cache_dir input in
-    let optimized = (Invopt.Pipeline.optimize invariants).optimized in
-    let summary = Sci.Identify.run_all ~invariants:optimized Bugs.Table1.all in
+    let _, summary =
+      optimize_identify Bugs.Table1.all (load_or_mine ~jobs ?cache_dir input)
+    in
     let reps = Scifinder_core.Shape.representatives summary.unique_sci in
     let battery = Assertions.Ovl.of_invariants reps in
     let cost = Assertions.Cost.battery_overhead battery in

@@ -44,6 +44,15 @@ dune exec bin/scifinder.exe -- report /tmp/scif_run.jsonl | tee /tmp/report.out
 grep -q 'pipeline.mine' /tmp/report.out
 grep -q 'candidate funnel' /tmp/report.out
 grep -q 'skipped lines: 0' /tmp/report.out
+# The SCI-deploying commands optimise and identify through the pipeline,
+# so their telemetry carries both phase spans.
+rm -f /tmp/scif_identify.jsonl
+dune exec bin/scifinder.exe -- identify -b b10 \
+  --metrics /tmp/scif_identify.jsonl > /dev/null
+dune exec bin/scifinder.exe -- report /tmp/scif_identify.jsonl \
+  | tee /tmp/identify_report.out
+grep -q 'pipeline.optimize' /tmp/identify_report.out
+grep -q 'pipeline.identify' /tmp/identify_report.out
 # Telemetry overhead budget: obsbench prints (and BENCH_pipeline.json
 # records) the estimated null-sink overhead; the gate is < 2%.
 dune exec bench/main.exe -- obsbench

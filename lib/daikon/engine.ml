@@ -110,12 +110,12 @@ type point_state = {
 
 (* ---- Candidate-lifecycle provenance (the flight recorder) ----
 
-   Off by default and paid for only when on: [observe] dispatches once
-   per record on [t.prov], and the disabled path is the unchanged hot
-   loop below. When enabled, falsifications land in a bounded ring of
-   [death] records and narrowing events update a last-witness table, so
-   [scifinder mine --explain] can name the workload and record that
-   killed (or last constrained) a candidate.
+   Off by default. [observe] and [merge_into] call the recorder's hook
+   only when a candidate changes state, so a settled observation costs
+   the same either way. When enabled, falsifications land in a bounded
+   ring of [death] records and narrowing events update a last-witness
+   table, so [scifinder mine --explain] can name the workload and record
+   that killed (or last constrained) a candidate.
 
    The ring can evict under pressure, so two side tables are immune to
    eviction: the first death per family and the per-family death
@@ -291,6 +291,41 @@ let pack_point name vars stats dstats (pairs : ptracker array) n =
   Array.iteri (fun k p -> pair_store st k p) pairs;
   st
 
+(* The signed 32-bit difference vj - vi: [Util.U32.sub] then
+   [Util.U32.signed], spelled out because this runs for every live pair
+   of every record, where each library call costs a closure
+   application. *)
+let[@inline] signed_diff vi vj =
+  let d = (vj - vi) land 0xFFFF_FFFF in
+  if d land 0x8000_0000 <> 0 then d - 0x1_0000_0000 else d
+
+let relation_bit (vi : int) vj =
+  if vi < vj then r_lt else if vi = vj then r_eq else r_gt
+
+(* Filter a scale mask against one observation: keep bit b iff
+   x * scale_candidates.(b) = y in 32-bit arithmetic. Tail-recursive on
+   purpose — this runs per surviving scale pair per record, and the
+   closure-plus-ref version allocated twice per call. *)
+let filter_scale mask x y =
+  let rec go m bit =
+    if bit >= Array.length scale_candidates then m
+    else begin
+      let m =
+        if m land (1 lsl bit) <> 0
+        && Util.U32.mul x (Array.unsafe_get scale_candidates bit) <> y
+        then m land lnot (1 lsl bit)
+        else m
+      in
+      go m (bit + 1)
+    end
+  in
+  go mask 0
+
+(* A point is born from its first record, and every candidate starts
+   from that record's values: the variable statistics, and per pair the
+   relation bit, the constant difference and the scale factors it
+   admits. A candidate this record already rules out was never alive,
+   so its end is not a death. *)
 let new_point config name (mask : bool array) values =
   let cap = max 1 config.Config.max_oneof in
   let vars =
@@ -317,90 +352,27 @@ let new_point config name (mask : bool array) values =
     for b = a + 1 to nv - 1 do
       let i = vars.(a) and j = vars.(b) in
       let policy = pair_policy (Var.id_kind i) (Var.id_kind j) in
+      let vi = values.(i) and vj = values.(j) in
+      let diff_live = policy land p_diff <> 0 in
+      (* All-zero values admit every factor (see [observe_pair]). *)
+      let scale = policy land p_scale <> 0 && (vi <> 0 || vj <> 0) in
       if policy <> 0 then
         pairs := { pi = i; pj = j; policy;
-                   rel = 0; diff = 0; diff_live = false;
-                   scale_ij = full_scale_mask; scale_ji = full_scale_mask;
-                   scale_nonzero = 0 }
+                   rel = relation_bit vi vj;
+                   diff = (if diff_live then
+                             signed_diff vi vj else 0);
+                   diff_live;
+                   scale_ij = (if scale then filter_scale full_scale_mask vi vj
+                               else full_scale_mask);
+                   scale_ji = (if scale then filter_scale full_scale_mask vj vi
+                               else full_scale_mask);
+                   scale_nonzero = (if scale then 1 else 0) }
                  :: !pairs
     done
   done;
   pack_point name vars stats
     (Array.map (fun id -> Option.get stats.(id)) vars)
     (Array.of_list !pairs) 0
-
-let update_vstat st v =
-  if v < st.vmin then st.vmin <- v;
-  if v > st.vmax then st.vmax <- v;
-  if st.ndistinct >= 0 then begin
-    (* Sorted insert into the distinct-value prefix; the set holds at most
-       max_oneof elements, so a linear scan is the fast path. *)
-    let n = st.ndistinct in
-    let pos = ref 0 in
-    while !pos < n && st.values.(!pos) < v do incr pos done;
-    if !pos >= n || st.values.(!pos) <> v then begin
-      if n >= Array.length st.values then begin
-        st.values <- [||];
-        st.ndistinct <- -1
-      end else begin
-        for k = n downto !pos + 1 do st.values.(k) <- st.values.(k - 1) done;
-        st.values.(!pos) <- v;
-        st.ndistinct <- n + 1
-      end
-    end
-  end;
-  if st.mod4 >= 0 && v land 3 <> st.mod4 then st.mod4 <- -1;
-  if st.mod2 >= 0 && v land 1 <> st.mod2 then st.mod2 <- -1
-
-(* Filter a scale mask against one observation: keep bit b iff
-   x * scale_candidates.(b) = y in 32-bit arithmetic. Tail-recursive on
-   purpose — this runs per surviving scale pair per record, and the
-   closure-plus-ref version allocated twice per call. *)
-let filter_scale mask x y =
-  let rec go m bit =
-    if bit >= Array.length scale_candidates then m
-    else begin
-      let m =
-        if m land (1 lsl bit) <> 0
-        && Util.U32.mul x (Array.unsafe_get scale_candidates bit) <> y
-        then m land lnot (1 lsl bit)
-        else m
-      in
-      go m (bit + 1)
-    end
-  in
-  go mask 0
-
-(* The full pair update on the packed layout — constant difference and
-   scaling included. The hot loop in [observe] only drops in here while
-   one of those candidate families is still alive ([f_diff]/[f_scale]
-   set) or on a point's first record (which arms the diff candidate).
-   [fl] is the current flag byte, [b] the relation bit this observation
-   contributes. *)
-let update_pair_slow st k fl b vi vj first =
-  let fl = ref (fl lor b) in
-  if first then begin
-    if meta_policy st.pmeta.(k) land p_diff <> 0 then begin
-      st.pdiff.(k) <- Util.U32.signed (Util.U32.sub vj vi);
-      fl := !fl lor f_diff
-    end
-  end
-  else if !fl land f_diff <> 0
-       && st.pdiff.(k) <> Util.U32.signed (Util.U32.sub vj vi) then
-    fl := !fl land lnot f_diff;
-  (* The all-zero observation is a scale no-op by construction: the
-     nonzero counter's guard is false and 0 * k = 0 keeps every
-     surviving mask bit — so skip it. (Permanently-zero pairs are
-     exactly the ones whose masks never die.) *)
-  if !fl land f_scale <> 0 && (vi <> 0 || vj <> 0) then begin
-    let s = st.pscale.(k) in
-    let nz = (s lsr 12) + 1 in
-    let ij = filter_scale ((s lsr 6) land full_scale_mask) vi vj in
-    let ji = filter_scale (s land full_scale_mask) vj vi in
-    st.pscale.(k) <- scale_pack ~nonzero:nz ~ij ~ji;
-    if ij = 0 && ji = 0 then fl := !fl land lnot f_scale
-  end;
-  Bytes.unsafe_set st.pflags k (Char.unsafe_chr !fl)
 
 let intern t (record : Trace.Record.t) =
   let st =
@@ -414,65 +386,19 @@ let intern t (record : Trace.Record.t) =
   t.last <- Some st;
   st
 
-let observe_fast t (record : Trace.Record.t) =
-  t.nrecords <- t.nrecords + 1;
-  let values = record.values in
-  let st =
-    match t.last with
-    | Some st when String.equal st.pname record.point -> st
-    | _ -> intern t record
-  in
-  let first = st.n = 0 in
-  st.n <- st.n + 1;
-  if not first then begin
-    (* On the first record the stats were initialised from these values. *)
-    let vars = st.vars and dstats = st.dstats in
-    for k = 0 to Array.length vars - 1 do
-      update_vstat dstats.(k) values.(vars.(k))
-    done
-  end;
-  let pmeta = st.pmeta and pflags = st.pflags in
-  if first then
-    for k = 0 to st.npairs - 1 do
-      let m = Array.unsafe_get pmeta k in
-      let vi = Array.unsafe_get values (m lsr 12)
-      and vj = Array.unsafe_get values ((m lsr 5) land 0x7f) in
-      let b = if vi < vj then r_lt else if vi = vj then r_eq else r_gt in
-      update_pair_slow st k
-        (Char.code (Bytes.unsafe_get pflags k)) b vi vj true
-    done
-  else
-    (* The mining hot loop: ~thousands of pairs per record. A settled
-       pair (diff falsified, scale masks dead) touches one meta word and
-       one flag byte; the branchy full update only runs while a diff or
-       scale candidate is still alive. Indices unpacked from [pmeta]
-       are always < Var.total = Array.length values. *)
-    for k = 0 to st.npairs - 1 do
-      let m = Array.unsafe_get pmeta k in
-      let vi = Array.unsafe_get values (m lsr 12)
-      and vj = Array.unsafe_get values ((m lsr 5) land 0x7f) in
-      let b = if vi < vj then r_lt else if vi = vj then r_eq else r_gt in
-      let fl = Char.code (Bytes.unsafe_get pflags k) in
-      if fl land (f_diff lor f_scale) = 0 then begin
-        if fl land b = 0 then
-          Bytes.unsafe_set pflags k (Char.unsafe_chr (fl lor b))
-      end else update_pair_slow st k fl b vi vj false
-    done
+(* ---- The flight-recorder hook ----
 
-(* ---- Provenance bookkeeping helpers ---- *)
+   [observe] and [merge_into] call these only when a candidate changes
+   state. Without a recorder each is one [t.prov] test, and a
+   candidate's key or name is built only when it is recorded.
+   Narrowings come from [observe] alone: a merge joins two observed
+   histories and witnesses nothing new. *)
 
 let prov_key1 point family id = Printf.sprintf "%s|%s|%d" point family id
 
 let prov_key2 point family i j =
   let i, j = if i <= j then (i, j) else (j, i) in
   Printf.sprintf "%s|%s|%d|%d" point family i j
-
-let desc1 family id = Printf.sprintf "%s(%s)" family (Var.id_name id)
-
-let desc2 family i j =
-  Printf.sprintf "%s(%s, %s)" family (Var.id_name i) (Var.id_name j)
-
-let desc_mod id m = Printf.sprintf "mod(%s mod %d)" (Var.id_name id) m
 
 let record_death t p ~point ~family ~desc =
   let d =
@@ -486,100 +412,203 @@ let record_death t p ~point ~family ~desc =
   Hashtbl.replace p.death_counts family
     (1 + Option.value ~default:0 (Hashtbl.find_opt p.death_counts family))
 
-let record_narrow p ~record key =
-  Hashtbl.replace p.witnesses key
-    { w_workload = p.cur_workload; w_record = record; w_tick = p.wrecords }
+(* Death reports name the candidate over variable names; a residue
+   candidate ([modulus] > 0) also names its modulus. *)
+let var_died t st ~family ~modulus id =
+  match t.prov with
+  | None -> ()
+  | Some p ->
+    let v = Var.id_name id in
+    record_death t p ~point:st.pname ~family
+      ~desc:(if modulus = 0 then Printf.sprintf "%s(%s)" family v
+             else Printf.sprintf "%s(%s mod %d)" family v modulus)
 
-(* The provenance observe path. Same state transitions as [observe_fast]
-   — both funnel every live-candidate update through [update_pair_slow]
-   and [update_vstat], so engine state stays bit-identical whichever
-   path ran — plus pre/post diffing of each candidate to detect
-   narrowing and falsification as it happens. Only engines created with
-   [~provenance:true] ever enter here. *)
-let observe_prov t p (record : Trace.Record.t) =
+let pair_died t st ~family k =
+  match t.prov with
+  | None -> ()
+  | Some p ->
+    let m = st.pmeta.(k) in
+    record_death t p ~point:st.pname ~family
+      ~desc:(Printf.sprintf "%s(%s, %s)" family
+               (Var.id_name (meta_pi m)) (Var.id_name (meta_pj m)))
+
+let witness t p =
+  { w_workload = p.cur_workload; w_record = t.nrecords; w_tick = p.wrecords }
+
+let var_narrowed t st family id =
+  match t.prov with
+  | None -> ()
+  | Some p ->
+    Hashtbl.replace p.witnesses (prov_key1 st.pname family id) (witness t p)
+
+let pair_narrowed t st family k =
+  match t.prov with
+  | None -> ()
+  | Some p ->
+    let m = st.pmeta.(k) in
+    Hashtbl.replace p.witnesses
+      (prov_key2 st.pname family (meta_pi m) (meta_pj m)) (witness t p)
+
+let born t st =
+  match t.prov with
+  | None -> ()
+  | Some p -> Hashtbl.replace p.births st.pname (witness t p)
+
+(* ---- The five death rules ----
+
+   Every falsification goes through one of these, from [observe] (a
+   record disagrees) and from [merge_point] (the other shard disagrees)
+   alike, so the recorder sees each death whichever path caused it.
+   The pair rules take and return the pair's flag byte. *)
+
+(* 1. OneOf dies when its distinct-value set overflows. *)
+let kill_oneof t st id vs =
+  vs.values <- [||];
+  vs.ndistinct <- -1;
+  var_died t st ~family:"oneof" ~modulus:0 id
+
+(* Sorted insert into a live distinct-value set; true iff [v] was new
+   and the set survived it. The set holds at most max_oneof elements,
+   so a linear scan is the fast path. Inlined, like [check_residues]
+   and [update_vstat], into [observe]'s per-variable loop: as calls
+   they cost the settled hot path several percent. *)
+let[@inline] add_value t st id vs v =
+  let n = vs.ndistinct in
+  let pos = ref 0 in
+  while !pos < n && vs.values.(!pos) < v do incr pos done;
+  if !pos < n && vs.values.(!pos) = v then false
+  else if n >= Array.length vs.values then (kill_oneof t st id vs; false)
+  else begin
+    for k = n downto !pos + 1 do vs.values.(k) <- vs.values.(k - 1) done;
+    vs.values.(!pos) <- v;
+    vs.ndistinct <- n + 1;
+    true
+  end
+
+(* 2. An alignment residue dies when a value's residue, or the other
+   shard's, differs from it; a dead residue (-1) differs from all. *)
+let[@inline] check_residues t st id vs r4 r2 =
+  if vs.mod4 >= 0 && r4 <> vs.mod4 then begin
+    vs.mod4 <- -1;
+    var_died t st ~family:"mod" ~modulus:4 id
+  end;
+  if vs.mod2 >= 0 && r2 <> vs.mod2 then begin
+    vs.mod2 <- -1;
+    var_died t st ~family:"mod" ~modulus:2 id
+  end
+
+(* 3. A relation candidate dies once <, = and > have all been seen. *)
+let add_relation t st k fl bits =
+  let fl' = fl lor bits in
+  if fl' land f_rel = f_rel && fl land f_rel <> f_rel then
+    pair_died t st ~family:"relation" k;
+  fl'
+
+(* 4. A constant difference dies on a record with another difference,
+   or on a shard with another (or no) constant. *)
+let kill_diff t st k fl =
+  pair_died t st ~family:"diff" k;
+  fl land lnot f_diff
+
+(* 5. A scaling candidate dies with its last mask bit. *)
+let set_scale t st k fl ~nonzero ~ij ~ji =
+  st.pscale.(k) <- scale_pack ~nonzero ~ij ~ji;
+  if fl land f_scale <> 0 && ij = 0 && ji = 0 then begin
+    pair_died t st ~family:"scale" k;
+    fl land lnot f_scale
+  end else fl
+
+(* ---- Observing ---- *)
+
+let[@inline] update_vstat t st id vs v =
+  if v < vs.vmin || v > vs.vmax then begin
+    if v < vs.vmin then vs.vmin <- v else vs.vmax <- v;
+    var_narrowed t st "interval" id
+  end;
+  if vs.ndistinct >= 0 && add_value t st id vs v then
+    var_narrowed t st "oneof" id;
+  if vs.mod4 >= 0 || vs.mod2 >= 0 then
+    check_residues t st id vs (v land 3) (v land 1)
+
+(* A pair the hot loop cannot skip: this record shows it a new relation
+   bit, or its diff or scale candidate is still live. *)
+let observe_pair t st k fl b vi vj =
+  let fl =
+    if fl land b <> 0 then fl
+    else begin
+      let fl = add_relation t st k fl b in
+      if fl land f_rel <> f_rel then pair_narrowed t st "relation" k;
+      fl
+    end
+  in
+  let fl =
+    if fl land f_diff <> 0
+    && st.pdiff.(k) <> signed_diff vi vj
+    then kill_diff t st k fl
+    else fl
+  in
+  (* The all-zero observation is a scale no-op by construction: the
+     nonzero counter's guard is false and 0 * k = 0 keeps every
+     surviving mask bit — so skip it. (Permanently-zero pairs are
+     exactly the ones whose masks never die.) *)
+  let fl =
+    if fl land f_scale = 0 || (vi = 0 && vj = 0) then fl
+    else begin
+      let s = st.pscale.(k) in
+      let ij = filter_scale ((s lsr 6) land full_scale_mask) vi vj
+      and ji = filter_scale (s land full_scale_mask) vj vi in
+      let fl = set_scale t st k fl ~nonzero:((s lsr 12) + 1) ~ij ~ji in
+      if fl land f_scale <> 0 && (ij lsl 6) lor ji <> s land 0xFFF then
+        pair_narrowed t st "scale" k;
+      fl
+    end
+  in
+  Bytes.unsafe_set st.pflags k (Char.unsafe_chr fl)
+
+let observe t (record : Trace.Record.t) =
   t.nrecords <- t.nrecords + 1;
-  p.wrecords <- p.wrecords + 1;
+  (match t.prov with None -> () | Some p -> p.wrecords <- p.wrecords + 1);
   let values = record.values in
   let st =
     match t.last with
     | Some st when String.equal st.pname record.point -> st
     | _ -> intern t record
   in
-  let first = st.n = 0 in
   st.n <- st.n + 1;
-  let point = st.pname in
-  if first then
-    Hashtbl.replace p.births point
-      { w_workload = p.cur_workload; w_record = t.nrecords;
-        w_tick = p.wrecords }
+  if st.n = 1 then born t st
   else begin
     let vars = st.vars and dstats = st.dstats in
     for k = 0 to Array.length vars - 1 do
-      let vs = dstats.(k) in
       let id = vars.(k) in
-      let nd0 = vs.ndistinct and m40 = vs.mod4 and m20 = vs.mod2 in
-      let mn0 = vs.vmin and mx0 = vs.vmax in
-      update_vstat vs values.(id);
-      if vs.ndistinct <> nd0 then begin
-        if vs.ndistinct < 0 then
-          record_death t p ~point ~family:"oneof" ~desc:(desc1 "oneof" id)
-        else record_narrow p ~record:t.nrecords (prov_key1 point "oneof" id)
-      end;
-      if vs.vmin <> mn0 || vs.vmax <> mx0 then
-        record_narrow p ~record:t.nrecords (prov_key1 point "interval" id);
-      if vs.mod4 <> m40 then
-        record_death t p ~point ~family:"mod" ~desc:(desc_mod id 4);
-      if vs.mod2 <> m20 then
-        record_death t p ~point ~family:"mod" ~desc:(desc_mod id 2)
+      update_vstat t st id dstats.(k) values.(id)
+    done;
+    (* The mining hot loop: ~thousands of pairs per record. A settled
+       pair (diff falsified, scale masks dead) whose relation bit is
+       already set touches one meta word and one flag byte, and is the
+       only case that skips [observe_pair]: nothing about it changes.
+       Indices unpacked from [pmeta] are always < Var.total =
+       Array.length values. *)
+    let pmeta = st.pmeta and pflags = st.pflags in
+    for k = 0 to st.npairs - 1 do
+      let m = Array.unsafe_get pmeta k in
+      let vi = Array.unsafe_get values (m lsr 12)
+      and vj = Array.unsafe_get values ((m lsr 5) land 0x7f) in
+      let b = relation_bit vi vj in
+      let fl = Char.code (Bytes.unsafe_get pflags k) in
+      if fl land (b lor f_diff lor f_scale) <> b then
+        observe_pair t st k fl b vi vj
     done
-  end;
-  let pmeta = st.pmeta and pflags = st.pflags in
-  let scale_mask_bits = (full_scale_mask lsl 6) lor full_scale_mask in
-  for k = 0 to st.npairs - 1 do
-    let m = Array.unsafe_get pmeta k in
-    let pi = m lsr 12 and pj = (m lsr 5) land 0x7f in
-    let vi = Array.unsafe_get values pi
-    and vj = Array.unsafe_get values pj in
-    let b = if vi < vj then r_lt else if vi = vj then r_eq else r_gt in
-    let fl = Char.code (Bytes.unsafe_get pflags k) in
-    if first then update_pair_slow st k fl b vi vj true
-    else begin
-      let s0 = st.pscale.(k) in
-      update_pair_slow st k fl b vi vj false;
-      let fl' = Char.code (Bytes.unsafe_get pflags k) in
-      if fl' land f_rel <> fl land f_rel then begin
-        if fl' land f_rel = f_rel then
-          record_death t p ~point ~family:"relation"
-            ~desc:(desc2 "relation" pi pj)
-        else
-          record_narrow p ~record:t.nrecords
-            (prov_key2 point "relation" pi pj)
-      end;
-      if fl land f_diff <> 0 && fl' land f_diff = 0 then
-        record_death t p ~point ~family:"diff" ~desc:(desc2 "diff" pi pj);
-      if fl land f_scale <> 0 then begin
-        if fl' land f_scale = 0 then
-          record_death t p ~point ~family:"scale"
-            ~desc:(desc2 "scale" pi pj)
-        else if (st.pscale.(k) lxor s0) land scale_mask_bits <> 0 then
-          record_narrow p ~record:t.nrecords (prov_key2 point "scale" pi pj)
-      end
-    end
-  done
-
-let observe t record =
-  match t.prov with
-  | None -> observe_fast t record
-  | Some p -> observe_prov t p record
+  end
 
 (* The pre-optimization observe shape, kept as the differential-testing
    reference: one string-keyed hash lookup per record, an option unwrap
    per variable, and the full pair update for every pair — no settled
-   fast path. Produces bit-identical engine state to [observe]; the
-   QCheck suite holds the two paths equal, and [minebench] reports the
-   throughput gap. *)
+   fast path. Produces bit-identical candidate and recorder state to
+   [observe]; the QCheck suite holds the two paths equal, and
+   [minebench] reports the throughput gap. *)
 let observe_baseline t (record : Trace.Record.t) =
   t.nrecords <- t.nrecords + 1;
+  (match t.prov with None -> () | Some p -> p.wrecords <- p.wrecords + 1);
   let values = record.values in
   let st =
     match Hashtbl.find_opt t.index record.point with
@@ -589,24 +618,23 @@ let observe_baseline t (record : Trace.Record.t) =
       add_point t st;
       st
   in
-  let first = st.n = 0 in
   st.n <- st.n + 1;
-  if first then
-    (* The stats were initialised from this record's values. *)
-    ()
-  else
+  (* On the first record [new_point] started everything from it. *)
+  if st.n = 1 then born t st
+  else begin
     Array.iter
       (fun id ->
          match st.stats.(id) with
-         | Some vs -> update_vstat vs values.(id)
+         | Some vs -> update_vstat t st id vs values.(id)
          | None -> ())
       st.vars;
-  for k = 0 to st.npairs - 1 do
-    let m = st.pmeta.(k) in
-    let vi = values.(meta_pi m) and vj = values.(meta_pj m) in
-    let b = if vi < vj then r_lt else if vi = vj then r_eq else r_gt in
-    update_pair_slow st k (Char.code (Bytes.get st.pflags k)) b vi vj first
-  done
+    for k = 0 to st.npairs - 1 do
+      let m = st.pmeta.(k) in
+      let vi = values.(meta_pi m) and vj = values.(meta_pj m) in
+      observe_pair t st k (Char.code (Bytes.get st.pflags k))
+        (relation_bit vi vj) vi vj
+    done
+  end
 
 (* ---- Merging ----
 
@@ -615,113 +643,57 @@ let observe_baseline t (record : Trace.Record.t) =
    to streaming both shards through one engine sequentially (the property
    the sharded miner in [Pipeline.mine ~jobs] relies on). Both engines
    must share a configuration; [src]'s state is consumed (point states of
-   [src] not present in [dst] are adopted by reference). *)
+   [src] not present in [dst] are adopted by reference). A candidate the
+   join falsifies (the shards disagreed) dies through the same rules as
+   in [observe], under the merge pseudo-workload [merge_into] names. *)
 
-let merge_vstat dst src =
-  if src.vmin < dst.vmin then dst.vmin <- src.vmin;
-  if src.vmax > dst.vmax then dst.vmax <- src.vmax;
-  if dst.ndistinct < 0 || src.ndistinct < 0 then begin
-    dst.values <- [||];
-    dst.ndistinct <- -1
-  end else begin
-    (* Union of two sorted distinct sets, dying past the shared cap —
-       exactly where a sequential run over the concatenated streams would
-       have given up. *)
-    let cap = Array.length dst.values in
-    let out = Array.make cap 0 in
-    let i = ref 0 and j = ref 0 and k = ref 0 and dead = ref false in
-    let push v =
-      if !k >= cap then dead := true
-      else begin out.(!k) <- v; incr k end
-    in
-    while not !dead && (!i < dst.ndistinct || !j < src.ndistinct) do
-      if !j >= src.ndistinct then begin
-        push dst.values.(!i); incr i
-      end else if !i >= dst.ndistinct then begin
-        push src.values.(!j); incr j
-      end else begin
-        let a = dst.values.(!i) and b = src.values.(!j) in
-        push (if a <= b then a else b);
-        if a <= b then incr i;
-        if b <= a then incr j
-      end
-    done;
-    if !dead then begin
-      dst.values <- [||];
-      dst.ndistinct <- -1
-    end else begin
-      dst.values <- out;
-      dst.ndistinct <- !k
-    end
-  end;
-  if dst.mod4 < 0 || src.mod4 < 0 || dst.mod4 <> src.mod4 then dst.mod4 <- -1;
-  if dst.mod2 < 0 || src.mod2 < 0 || dst.mod2 <> src.mod2 then dst.mod2 <- -1
-
-let merge_pair dst src =
-  dst.rel <- dst.rel lor src.rel;
-  (* A live diff means every observation of that shard agreed on it; the
-     join survives only when both shards agree on the same constant. *)
-  if not (dst.diff_live && src.diff_live && dst.diff = src.diff) then
-    dst.diff_live <- false;
-  dst.scale_ij <- dst.scale_ij land src.scale_ij;
-  dst.scale_ji <- dst.scale_ji land src.scale_ji;
-  (* The non-zero support counts can only diverge from a sequential run
-     once every scale mask is dead, at which point no scaling invariant
-     is extractable anyway. *)
-  dst.scale_nonzero <- dst.scale_nonzero + src.scale_nonzero
-
-(* [t] is the engine owning [dst]; when it records provenance, a
-   candidate falsified by the join itself (the shards disagreed) gets a
-   death record labelled with the merge pseudo-workload [merge_into]
-   installed. *)
 let merge_point t dst src =
   if not (Array.length dst.vars = Array.length src.vars
           && Array.for_all2 ( = ) dst.vars src.vars
           && dst.npairs = src.npairs) then
     invalid_arg
-      (Printf.sprintf "Daikon.Engine.merge: point %s has incompatible shapes"
+      (Printf.sprintf
+         "Daikon.Engine.merge_into: point %s has incompatible shapes"
          dst.pname);
   dst.n <- dst.n + src.n;
-  let point = dst.pname in
-  Array.iter
-    (fun id ->
-       match dst.stats.(id), src.stats.(id) with
-       | Some d, Some s ->
-         (match t.prov with
-          | None -> merge_vstat d s
-          | Some p ->
-            let nd0 = d.ndistinct and m40 = d.mod4 and m20 = d.mod2 in
-            merge_vstat d s;
-            if nd0 >= 0 && d.ndistinct < 0 then
-              record_death t p ~point ~family:"oneof"
-                ~desc:(desc1 "oneof" id);
-            if m40 >= 0 && d.mod4 < 0 then
-              record_death t p ~point ~family:"mod" ~desc:(desc_mod id 4);
-            if m20 >= 0 && d.mod2 < 0 then
-              record_death t p ~point ~family:"mod" ~desc:(desc_mod id 2))
-       | _ -> invalid_arg "Daikon.Engine.merge: mismatched variable stats")
+  Array.iteri
+    (fun k id ->
+       let d = dst.dstats.(k) and s = src.dstats.(k) in
+       if s.vmin < d.vmin then d.vmin <- s.vmin;
+       if s.vmax > d.vmax then d.vmax <- s.vmax;
+       (* Inserting src's values one by one dies exactly where a
+          sequential run over the concatenated streams would have given
+          up; a dead src set already held more than the cap. *)
+       if d.ndistinct >= 0 && s.ndistinct < 0 then kill_oneof t dst id d;
+       for i = 0 to s.ndistinct - 1 do
+         if d.ndistinct >= 0 then ignore (add_value t dst id d s.values.(i))
+       done;
+       check_residues t dst id d s.mod4 s.mod2)
     dst.vars;
   for k = 0 to dst.npairs - 1 do
-    let p = pair_view dst k and q = pair_view src k in
-    if p.pi <> q.pi || p.pj <> q.pj then
-      invalid_arg "Daikon.Engine.merge: mismatched pair trackers";
-    let rel0 = p.rel and dlive0 = p.diff_live in
-    let salive0 = p.scale_ij <> 0 || p.scale_ji <> 0 in
-    merge_pair p q;
-    pair_store dst k p;
-    (match t.prov with
-     | None -> ()
-     | Some pr ->
-       if p.rel <> rel0 && p.rel = f_rel then
-         record_death t pr ~point ~family:"relation"
-           ~desc:(desc2 "relation" p.pi p.pj);
-       if dlive0 && not p.diff_live then
-         record_death t pr ~point ~family:"diff"
-           ~desc:(desc2 "diff" p.pi p.pj);
-       if salive0 && p.scale_ij = 0 && p.scale_ji = 0
-          && p.policy land p_scale <> 0 then
-         record_death t pr ~point ~family:"scale"
-           ~desc:(desc2 "scale" p.pi p.pj))
+    if dst.pmeta.(k) <> src.pmeta.(k) then
+      invalid_arg "Daikon.Engine.merge_into: mismatched pair trackers";
+    let sfl = Char.code (Bytes.get src.pflags k) in
+    let fl =
+      add_relation t dst k (Char.code (Bytes.get dst.pflags k))
+        (sfl land f_rel)
+    in
+    let fl =
+      if fl land f_diff <> 0
+      && not (sfl land f_diff <> 0 && dst.pdiff.(k) = src.pdiff.(k))
+      then kill_diff t dst k fl
+      else fl
+    in
+    (* Masks intersect. The non-zero support counts can only diverge
+       from a sequential run once every scale mask is dead, at which
+       point no scaling invariant is extractable anyway. *)
+    let s = dst.pscale.(k) and s' = src.pscale.(k) in
+    let fl =
+      set_scale t dst k fl ~nonzero:((s lsr 12) + (s' lsr 12))
+        ~ij:((s lsr 6) land (s' lsr 6) land full_scale_mask)
+        ~ji:(s land s' land full_scale_mask)
+    in
+    Bytes.set dst.pflags k (Char.chr fl)
   done
 
 (* Join two provenance states: src's ring entries precede any deaths the
@@ -769,8 +741,6 @@ let merge_into dst src =
     | Some slot -> merge_point dst dst.tab.(slot) sp
     | None -> add_point dst sp
   done
-
-let merge a b = merge_into a b; a
 
 (* ---- Provenance readout ---- *)
 
@@ -1141,7 +1111,7 @@ let encode_pair w p =
   (* Once every scale mask is dead the support count is frozen wherever
      the kill happened — a stream-order artifact that extraction never
      reads (both masks gate it) and that a shard merge cannot reproduce
-     (the count is the one pair field [merge_pair] sums approximately).
+     (the count is the one pair field [merge_point] sums approximately).
      Canonicalize it to 0 so snapshot bytes are a function of exactly
      the mergeable state: jobs=N replay == jobs=1, byte for byte. *)
   Util.Binio.write_uint w

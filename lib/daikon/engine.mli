@@ -19,22 +19,29 @@ val create :
 (** [provenance] (default [false]) turns on the flight recorder: every
     candidate falsification is recorded as a {!death} (bounded ring of
     [prov_capacity] entries, default 4096) and narrowing observations
-    update per-candidate {!witness}es. Off, the engine behaves — and
-    snapshots — exactly as before; the only cost is one branch per
-    {!observe}. *)
+    update per-candidate {!witness}es. It is the engine's only switch,
+    and it changes what is recorded, not what is mined: {!observe} and
+    {!merge_into} run the same code either way and call the recorder
+    only when a candidate changes state. Off, snapshots keep the
+    provenance-free format byte for byte. *)
 
 val observe : t -> Trace.Record.t -> unit
 (** Feed one instruction-boundary record. Program points are interned
-    (integer slots, last-point cache) and fully falsified candidate
-    pairs are skipped, so the per-record cost tracks the live candidate
-    set, not everything ever instantiated. *)
+    (integer slots, last-point cache). A pair whose diff and scale
+    candidates are dead and whose relation bit this record repeats is
+    skipped after one flag-byte test, so the per-record cost tracks the
+    live candidate set, not everything ever instantiated. Every
+    falsification goes through the death rules {!merge_into} uses too;
+    with provenance on, each candidate state change is reported to the
+    recorder as it happens. *)
 
 val observe_baseline : t -> Trace.Record.t -> unit
 (** The pre-interning reference path: a string-keyed hash lookup per
     record and a full scan of every candidate pair, dead or alive.
-    Produces bit-identical engine state to {!observe} (and the two may
-    be mixed freely on one engine); kept for differential testing and
-    as the [minebench] baseline. *)
+    Produces bit-identical candidate state to {!observe}, and with
+    provenance on the same deaths, witnesses and births (the two may be
+    mixed freely on one engine); kept for differential testing and as
+    the [minebench] baseline. *)
 
 val invariants : t -> Invariant.Expr.t list
 (** The currently justified set, deduplicated and in canonical order. *)
@@ -50,9 +57,6 @@ val merge_into : t -> t -> unit
     reference and must not be observed into afterwards.
     @raise Invalid_argument if the configurations differ or a shared
     program point has incompatible variable sets. *)
-
-val merge : t -> t -> t
-(** [merge a b] is [merge_into a b; a]. Consumes both arguments. *)
 
 (** Candidate birth/death accounting for one invariant family — the
     telemetry behind the Figure 3 convergence story. Computed by scanning

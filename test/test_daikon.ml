@@ -214,7 +214,8 @@ let test_merge_joins_point_state () =
                          record ~mask [ (g3, 1); (g4, 7) ] ] in
   let e2 = feed_engine [ record ~mask [ (g3, 2); (g4, 6) ];
                          record ~mask [ (g3, 2); (g4, 9) ] ] in
-  let invs = Engine.invariants (Engine.merge e1 e2) in
+  Engine.merge_into e1 e2;
+  let invs = Engine.invariants e1 in
   check_not invs "risingEdge(l.add) -> GPR3 = 1";
   check_not invs "risingEdge(l.add) -> GPR3 = 2";
   check_has invs "risingEdge(l.add) -> GPR3 in {0x1, 0x2}";
@@ -264,9 +265,8 @@ let test_merge_matches_sequential =
           let prefix = List.filteri (fun i _ -> i < k) records in
           let suffix = List.filteri (fun i _ -> i >= k) records in
           let whole = feed records in
-          let merged =
-            Engine.merge (feed_engine prefix) (feed_engine suffix)
-          in
+          let merged = feed_engine prefix in
+          Engine.merge_into merged (feed_engine suffix);
           strings (Engine.invariants merged) = strings whole
           && Engine.record_count merged = n))
 

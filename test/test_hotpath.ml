@@ -16,29 +16,43 @@ let qtest ?(count = 25) name gen f =
 
 (* ---- streaming == materialize-then-replay, over random programs ---- *)
 
-let mine_streaming (w : Workloads.Rt.t) =
-  let engine = Engine.create () in
+let mine_streaming ?provenance (w : Workloads.Rt.t) =
+  let engine = Engine.create ?provenance () in
   ignore
     (Trace.Runner.stream ~tick_period:w.tick_period ~entry:w.entry
        ~observer:(Engine.observe engine) w.image);
   engine
 
-let mine_replay (w : Workloads.Rt.t) =
+let mine_replay ?provenance (w : Workloads.Rt.t) =
   let recs, _ =
     Trace.Runner.capture ~tick_period:w.tick_period ~entry:w.entry w.image
   in
-  let engine = Engine.create () in
+  let engine = Engine.create ?provenance () in
   List.iter (Engine.observe_baseline engine) recs;
   engine
+
+(* The candidate state of a provenance engine, as provenance-free
+   SCIFSNAP bytes: a fresh plain engine adopts its points unchanged. *)
+let candidate_bytes engine =
+  let plain = Engine.create () in
+  Engine.merge_into plain engine;
+  Engine.encode plain
 
 let prop_stream_replay_identical =
   qtest "stream == capture+observe_baseline (SCIFSNAP bytes), fuzz programs"
     QCheck.(pair (int_bound 1000) (int_bound 40))
     (fun (seed, index) ->
        let w = Fuzz.Gen.candidate ~seed ~index in
-       String.equal
-         (Engine.encode (mine_streaming w))
-         (Engine.encode (mine_replay w)))
+       let streamed = Engine.encode (mine_streaming w) in
+       let recorded = mine_streaming ~provenance:true w in
+       (* The flight recorder only watches: the same program mined with
+          provenance on leaves byte-identical candidate state, and the
+          reference path records the same deaths, witnesses and births
+          (the v2 snapshot bytes carry all three). *)
+       String.equal streamed (Engine.encode (mine_replay w))
+       && String.equal streamed (candidate_bytes recorded)
+       && String.equal (Engine.encode recorded)
+            (Engine.encode (mine_replay ~provenance:true w)))
 
 let test_stream_replay_workload () =
   (* The same identity on a real corpus program (exception handlers,

@@ -91,9 +91,33 @@ let print_golden (m : Pipeline.mining) =
   Printf.printf "invariant text md5 %s\n"
     (Digest.to_hex (Digest.string (String.concat "\n" (strings m))))
 
+(* The flight recorder, pinned: a provenance session over the full
+   corpus, streamed (jobs 1) and sharded then merged (jobs 2). The
+   SCIFSNAP v2 bytes cover engine state, the death ring, first deaths,
+   witnesses and births, so the digest moves if any of them does. *)
+let print_provenance_golden () =
+  print_endline
+    "# Flight recorder: Session.create ~provenance:true, Session.mine";
+  print_endline
+    "# ~row:false over the full corpus; md5 of the SCIFSNAP v2 bytes.";
+  List.iter
+    (fun jobs ->
+       let s = Pipeline.Session.create ~jobs ~provenance:true () in
+       ignore (Pipeline.Session.mine s ~row:false Workloads.Suite.all);
+       let bytes = Pipeline.Session.encode s in
+       Printf.printf "provenance jobs=%d snapshot md5 %s\n" jobs
+         (Digest.to_hex (Digest.string bytes));
+       List.iter
+         (fun (family, n, _) ->
+            Printf.printf "provenance jobs=%d deaths %s=%d\n" jobs family n)
+         (Daikon.Engine.death_families (Daikon.Engine.decode bytes)))
+    [ 1; 2 ]
+
 let () =
-  if Array.length Sys.argv = 2 && Sys.argv.(1) = "golden" then
-    print_golden (Lazy.force seq)
+  if Array.length Sys.argv = 2 && Sys.argv.(1) = "golden" then begin
+    print_golden (Lazy.force seq);
+    print_provenance_golden ()
+  end
   else
     Alcotest.run "parallel_mine"
       [ ("parallel",
