@@ -1,26 +1,15 @@
 (* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (§5) and runs one Bechamel micro-benchmark per
-   table/figure kernel.
+   paper's evaluation (§5) and runs the gated experiments.
 
-     main.exe            run every experiment, print paper-layout tables
-     main.exe <id>       one experiment: fig3 tab2 tab3 tab4 fig4 tab5
-                         tab6 tab7 tab8 tab9 sec56 ablation parbench
-                         obsbench cachebench fuzzbench minebench mutbench
-                         lakebench
-     main.exe bechamel   the Bechamel micro-benchmarks
-     main.exe -j N ...   mine the trace corpus on a pool of N domains
-                         (default: the recommended domain count)
-     main.exe --metrics[=FILE] ...
-                         stream telemetry as JSON lines to FILE
-                         (default BENCH_metrics.jsonl)
+     main.exe               every paper table and figure, in paper order
+     main.exe <id>          one experiment of [registry] (at the end)
+     main.exe export [DIR]  the figure series as CSV (default bench_data)
+     main.exe -j N ...      mine the trace corpus on a pool of N domains
+                            (default: the recommended domain count)
 
-   Every run also writes BENCH_pipeline.json: per-experiment wall time
-   plus mining throughput and the peak invariant count when the corpus
-   was mined, and one metric block per gated experiment — the
-   machine-readable perf trajectory. A gated experiment (obsbench,
-   cachebench, fuzzbench, minebench, mutbench, lakebench, servebench)
-   prints its verdict; if any gate failed, the run exits 1 once the JSON
-   is written.
+   A gated experiment prints its verdict as a PASS/FAIL line; the run
+   exits 1 if any gate failed, and an unknown id exits 1 with the list
+   of ids. Per-layer timings live in scibench (bench/e2e), not here.
 
    Absolute numbers differ from the paper (the substrate is an ISA-level
    simulator and a synthetic trace corpus, see DESIGN.md); the shapes are
@@ -28,7 +17,6 @@
 
 module Pipeline = Scifinder_core.Pipeline
 module Experiments = Scifinder_core.Experiments
-module Shape = Scifinder_core.Shape
 module Expr = Invariant.Expr
 
 let pf = Printf.printf
@@ -62,21 +50,26 @@ let with_temp_dir tag f =
         try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
+(* The command line: "-j N" anywhere; the rest are the experiment id
+   and its optional argument (export's directory). *)
+let jobs, positional =
+  let usage msg = prerr_endline msg; exit 1 in
+  let rec go jobs acc = function
+    | ("-j" | "--jobs") :: rest ->
+      (match rest with
+       | [] -> usage "-j needs a count"
+       | n :: rest ->
+         (match int_of_string_opt n with
+          | Some j when j >= 1 -> go j acc rest
+          | Some _ | None -> usage ("bad job count: " ^ n)))
+    | arg :: rest -> go jobs (arg :: acc) rest
+    | [] -> (jobs, List.rev acc)
+  in
+  go (Util.Parallel.default_jobs ()) [] (List.tl (Array.to_list Sys.argv))
+
 (* ---- the shared pipeline run (computed lazily, used by many tables) ---- *)
 
-let jobs = ref (Util.Parallel.default_jobs ())
-
-(* Per-experiment wall times (monotonic), harvested into
-   BENCH_pipeline.json when the process exits. *)
-let experiment_seconds : (string * float) list ref = ref []
-
-(* Metric blocks (key, metrics) the gated experiments filled, newest
-   first; each lands as one object in BENCH_pipeline.json. *)
-let blocks : (string * (string * float) list) list ref = ref []
-
-let add_block key metrics = blocks := (key, metrics) :: !blocks
-
-let mining = lazy (Pipeline.mine ~jobs:!jobs ())
+let mining = lazy (Pipeline.mine ~jobs ())
 
 let optimization =
   lazy (Pipeline.optimize (Lazy.force mining).Pipeline.invariants)
@@ -513,32 +506,6 @@ let export dir =
         (fun (n, b) -> Printf.fprintf oc "%s,%.6f\n" n b)
         inf.Pipeline.selected_features)
 
-(* ---- sequential vs. sharded mining (the tentpole's speedup check) ---- *)
-
-let parbench () =
-  header "Parallel sharded trace mining: sequential vs. domain pool";
-  pf "recommended domain count on this machine: %d\n"
-    (Util.Parallel.default_jobs ());
-  let seq = Pipeline.mine ~jobs:1 () in
-  let key m =
-    List.map Expr.to_string m.Pipeline.invariants
-  in
-  let baseline = key seq in
-  pf "%-8s %12s %12s %10s %8s\n" "jobs" "invariants" "records" "seconds" "equal";
-  pf "%-8d %12d %12d %10.2f %8s\n" 1
-    (List.length seq.Pipeline.invariants) seq.Pipeline.record_count
-    seq.Pipeline.seconds "-";
-  List.iter
-    (fun n ->
-       let m = Pipeline.mine ~jobs:n () in
-       pf "%-8d %12d %12d %10.2f %8b\n" n
-         (List.length m.Pipeline.invariants) m.Pipeline.record_count
-         m.Pipeline.seconds
-         (key m = baseline && m.Pipeline.figure3 = seq.Pipeline.figure3))
-    [ 2; 4; max 1 (Util.Parallel.default_jobs ()) ];
-  pf "(equal compares the full invariant set and every Figure 3 row;\n";
-  pf " wall-clock gains require as many hardware cores as jobs)\n"
-
 (* ---- incremental mining: cold vs. warm snapshot cache ---- *)
 
 let cachebench () =
@@ -552,8 +519,8 @@ let cachebench () =
     && a.Pipeline.record_count = b.Pipeline.record_count
     && a.Pipeline.mnemonic_coverage = b.Pipeline.mnemonic_coverage
   in
-  let cold = Pipeline.mine ~jobs:!jobs ~cache_dir:dir () in
-  let warm = Pipeline.mine ~jobs:!jobs ~cache_dir:dir () in
+  let cold = Pipeline.mine ~jobs ~cache_dir:dir () in
+  let warm = Pipeline.mine ~jobs ~cache_dir:dir () in
   let speedup = cold.Pipeline.seconds /. Float.max warm.Pipeline.seconds 1e-9 in
   pf "%-28s %12s %12s %10s\n" "run" "invariants" "records" "seconds";
   pf "%-28s %12d %12d %10.2f\n" "cold (empty cache)"
@@ -580,7 +547,7 @@ let cachebench () =
        if Filename.check_suffix f ".summary" then
          Sys.remove (Filename.concat dir f))
     (Sys.readdir dir);
-  let repaired = Pipeline.mine ~jobs:!jobs ~cache_dir:dir () in
+  let repaired = Pipeline.mine ~jobs ~cache_dir:dir () in
   let stale_seen = counter "mine.cache.stale" - stale0 in
   let repaired_equal = same cold repaired in
   pf "truncated shard rejected and re-mined: %b (stale entries seen: %d)\n"
@@ -588,12 +555,6 @@ let cachebench () =
   let pass = warm_equal && repaired_equal && stale_seen > 0 && speedup >= 5.0 in
   pf "cachebench gate (warm==cold, stale rejected, >=5x): %s\n"
     (if pass then "PASS" else "FAIL");
-  add_block "cache"
-    [ ("cold_s", cold.Pipeline.seconds);
-      ("warm_s", warm.Pipeline.seconds);
-      ("speedup", speedup);
-      ("warm_equal", if warm_equal then 1.0 else 0.0);
-      ("stale_rejected", if repaired_equal && stale_seen > 0 then 1.0 else 0.0) ];
   pass
 
 (* ---- fuzzbench: the generated corpus extends Figure 3 ---- *)
@@ -634,8 +595,8 @@ let fuzzbench () =
   in
   let labels = Workloads.Suite.figure3_labels @ [ "fuzz" ] in
   with_temp_dir "scifinder_fuzzbench" @@ fun dir ->
-  let cold = Pipeline.mine ~jobs:!jobs ~groups ~labels ~cache_dir:dir () in
-  let warm = Pipeline.mine ~jobs:!jobs ~groups ~labels ~cache_dir:dir () in
+  let cold = Pipeline.mine ~jobs ~groups ~labels ~cache_dir:dir () in
+  let warm = Pipeline.mine ~jobs ~groups ~labels ~cache_dir:dir () in
   let strings m = List.map Expr.to_string m.Pipeline.invariants in
   let warm_equal =
     strings cold = strings warm && cold.Pipeline.figure3 = warm.Pipeline.figure3
@@ -671,7 +632,7 @@ let fuzzbench () =
   (* SCI / false-positive delta (report only): identify over the mined
      set with and without the generated group. The 17 base shards are
      shared through the same cache directory. *)
-  let base = Pipeline.mine ~jobs:!jobs ~cache_dir:dir () in
+  let base = Pipeline.mine ~jobs ~cache_dir:dir () in
   let identify m =
     let opt =
       (Pipeline.optimize m.Pipeline.invariants).Pipeline.result
@@ -696,19 +657,6 @@ let fuzzbench () =
       fig3 shape, FP not up): %s\n"
     fuzz_min_new
     (if pass then "PASS" else "FAIL");
-  add_block "fuzz"
-    [ ("seed", float_of_int fuzz_seed);
-      ("budget", float_of_int fuzz_budget);
-      ("accepted", float_of_int accepted);
-      ("new_points", float_of_int fresh);
-      ("timeouts", float_of_int corpus.Fuzz.Corpus.timeouts);
-      ("deterministic", if deterministic then 1.0 else 0.0);
-      ("warm_equal", if warm_equal then 1.0 else 0.0);
-      ("first_churn", float_of_int first_churn);
-      ("hand_churn", float_of_int hand_churn);
-      ("fuzz_churn", float_of_int fuzz_churn);
-      ("sci_delta", float_of_int (sci s_ext - sci s_base));
-      ("fp_delta", float_of_int fp_delta) ];
   Workloads.Suite.reset_registered ();
   pass
 
@@ -803,7 +751,7 @@ let minebench () =
      agree on the invariant set and every Figure 3 row, and the final
      invariant set must match what the streaming engine extracts. *)
   let seq = Pipeline.mine ~jobs:1 () in
-  let par = Pipeline.mine ~jobs:(max 2 !jobs) () in
+  let par = Pipeline.mine ~jobs:(max 2 jobs) () in
   let strings m = List.map Expr.to_string m.Pipeline.invariants in
   let fig3_equal =
     strings seq = strings par && seq.Pipeline.figure3 = par.Pipeline.figure3
@@ -839,16 +787,6 @@ let minebench () =
   pf "minebench gate (state identical, stream==replay==sharded, seq==par, \
       >=1.5x): %s\n"
     (if pass then "PASS" else "FAIL");
-  add_block "minebench"
-    [ ("records", float_of_int records);
-      ("baseline_s", base_s);
-      ("current_s", cur_s);
-      ("baseline_rps", rps_base);
-      ("current_rps", rps_cur);
-      ("speedup", speedup);
-      ("dcache_hits", float_of_int dc_hits);
-      ("dcache_misses", float_of_int dc_misses);
-      ("identical", if identical then 1.0 else 0.0) ];
   pass
 
 (* ---- mutbench: compiled SCI monitors + the mutant-at-scale campaign ---- *)
@@ -949,35 +887,6 @@ let mutbench () =
   pf "mutbench gate (compiled==interpretive, >=%.0fx, table1 >= baseline, \
       >=200 mutants deterministic): %s\n"
     mutbench_floor (if pass then "PASS" else "FAIL");
-  let metrics =
-    [ ("records", float_of_int !total_records);
-      ("assertions", float_of_int (List.length battery));
-      ("interp_s", !interp_s);
-      ("compiled_s", !comp_s);
-      ("interp_rps", eps_i);
-      ("compiled_rps", eps_c);
-      ("speedup", speedup);
-      ("identical", if !identical then 1.0 else 0.0);
-      ("table1_interp", float_of_int table1_interp);
-      ("table1_compiled", float_of_int table1_compiled);
-      ("mutants", float_of_int camp.mutant_total);
-      ("detected", float_of_int camp.detected_total);
-      ("triggers", float_of_int camp.trigger_count);
-      ("fp_triggers", float_of_int camp.fp_trigger_count);
-      ("deterministic", if deterministic then 1.0 else 0.0);
-      ("campaign_s", camp.camp_seconds) ]
-    @ List.concat_map
-        (fun (cl : Pipeline.campaign_class) ->
-           let p = String.lowercase_ascii cl.class_name in
-           [ (p ^ "_mutants", float_of_int cl.class_total);
-             (p ^ "_detected", float_of_int cl.class_detected);
-             (p ^ "_mean_latency",
-              if Float.is_nan cl.class_mean_latency then -1.0
-              else cl.class_mean_latency);
-             (p ^ "_fp_rate", cl.class_fp_rate) ])
-        camp.classes
-  in
-  add_block "mutbench" metrics;
   pass
 
 (* ---- lakebench: the on-disk trace lake vs live simulation ---- *)
@@ -1195,28 +1104,6 @@ let lakebench () =
       par ratio >= floor, torn tail rejected): %s\n"
     lakebench_scale
     (if pass then "PASS" else "FAIL");
-  add_block "lakebench"
-    [ ("sim_records", float_of_int sim_records);
-      ("sim_s", sim_s);
-      ("sim_rps", sim_rps);
-      ("write_rps", write_rps);
-      ("lake_bytes_1x", float_of_int stats.Pipeline.lake_bytes);
-      ("lake_bytes", float_of_int lake_bytes);
-      ("scale", float_of_int lakebench_scale);
-      ("disk_records", float_of_int disk_records);
-      ("disk_s", disk_s);
-      ("disk_rps", disk_rps);
-      ("rps_ratio", disk_rps /. Float.max sim_rps 1e-9);
-      ("par_jobs", float_of_int par_jobs);
-      ("par_records", float_of_int par_records);
-      ("par_s", par_s);
-      ("par_rps", par_rps);
-      ("par_ratio", par_ratio);
-      ("par_floor", par_floor);
-      ("par_seq_identical", if par_seq_identical then 1.0 else 0.0);
-      ("warm_hit_identical", if warm_hit_identical then 1.0 else 0.0);
-      ("identical", if replay_equal && scaled_equal then 1.0 else 0.0);
-      ("torn_rejected", if torn_rejected then 1.0 else 0.0) ];
   pass
 
 (* ---- servebench: the mining service under concurrent clients ---- *)
@@ -1236,7 +1123,7 @@ let servebench () =
   let sock = Filename.concat sockdir "bench.sock" in
   let cfg =
     { Serve.Server.listen = Serve.Server.Unix_sock sock;
-      jobs = !jobs; max_inflight = 4; idle_timeout = 0.;
+      jobs; max_inflight = 4; idle_timeout = 0.;
       cache_dir = None; mine_jobs = 1 }
   in
   let srv = Serve.Server.create cfg in
@@ -1290,7 +1177,7 @@ let servebench () =
   let (), batch_s =
     Obs.Clock.time (fun () ->
         let counts =
-          Util.Parallel.map ~jobs:!jobs
+          Util.Parallel.map ~jobs
             (fun w ->
                let s = Pipeline.Session.create () in
                (Pipeline.Session.mine s ~row:false [ w ])
@@ -1358,10 +1245,10 @@ let servebench () =
   let identical = !served_digest = Some (Pipeline.Session.engine_digest s) in
   pf "%-32s %12s %12s %14s\n" "lane" "records" "seconds" "records/sec";
   pf "%-32s %12d %12.3f %14.0f\n"
-    (Printf.sprintf "serve (%d clients, %d workers)" servebench_clients !jobs)
+    (Printf.sprintf "serve (%d clients, %d workers)" servebench_clients jobs)
     !served serve_s serve_rps;
   pf "%-32s %12d %12.3f %14.0f\n"
-    (Printf.sprintf "batch mine (jobs=%d)" !jobs)
+    (Printf.sprintf "batch mine (jobs=%d)" jobs)
     !batch_records batch_s batch_rps;
   pf "serve/batch rps ratio: %.2f; job latency p50 %.1f ms, p99 %.1f ms\n"
     rps_ratio p50_job_ms p99_job_ms;
@@ -1376,17 +1263,6 @@ let servebench () =
   pf "servebench gate (>=200 clients, rps >= 0.8x batch, p99 recorded, \
       busy backpressure, serve==batch): %s\n"
     (if pass then "PASS" else "FAIL");
-  add_block "servebench"
-    [ ("clients", float_of_int servebench_clients);
-      ("served_records", float_of_int !served);
-      ("serve_s", serve_s);
-      ("serve_rps", serve_rps);
-      ("batch_rps", batch_rps);
-      ("rps_ratio", rps_ratio);
-      ("p50_job_ms", p50_job_ms);
-      ("p99_job_ms", p99_job_ms);
-      ("busy", float_of_int !busy);
-      ("identical", if identical then 1.0 else 0.0) ];
   pass
 
 (* ---- telemetry overhead: the tentpole's < 2% null-sink budget ---- *)
@@ -1447,258 +1323,63 @@ let obsbench () =
   pf "  -> estimated null-sink overhead: %.4f%% of %.3f s\n" est_pct t_null;
   let pass = est_pct < 2.0 in
   pf "null-sink overhead budget < 2%%: %s\n" (if pass then "PASS" else "FAIL");
-  add_block "overhead"
-    [ ("mine_null_s", t_null);
-      ("mine_jsonl_s", t_jsonl);
-      ("jsonl_delta_pct", jsonl_pct);
-      ("span_ns", span_ns);
-      ("counter_ns", ctr_ns);
-      ("est_null_overhead_pct", est_pct) ];
   pass
 
-(* ---- Bechamel micro-benchmarks: one kernel per table/figure ---- *)
+(* ---- the experiment registry ---- *)
 
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  (* Small prepared inputs so staging stays cheap. *)
-  let w = Option.get (Workloads.Suite.by_name "basicmath") in
-  let mined =
-    let engine = Daikon.Engine.create () in
-    ignore (Trace.Runner.stream ~tick_period:0 ~entry:w.entry
-              ~observer:(Daikon.Engine.observe engine) w.image);
-    Daikon.Engine.invariants engine
-  in
-  let b10 = Option.get (Bugs.Table1.by_id "b10") in
-  let trigger_trace = Sci.Identify.capture_trigger ~fault:b10.fault b10.trigger in
-  let index = Sci.Checker.index mined in
-  let space = Invariant.Feature.build_space mined in
-  let sample = List.filteri (fun i _ -> i < 400) mined in
-  let x =
-    Ml.Matrix.of_rows (List.map (Invariant.Feature.vector space) sample)
-  in
-  let y =
-    Array.init (List.length sample) (fun i -> if i land 1 = 0 then 1.0 else 0.0)
-  in
-  let battery =
-    Assertions.Ovl.of_invariants (List.filteri (fun i _ -> i < 64) mined)
-  in
-  let reduced =
-    Ml.Matrix.of_rows
-      (List.map (fun row -> Array.sub row 0 (min 24 (Array.length row)))
-         (List.map (Invariant.Feature.vector space) sample))
-  in
-  let cov = Lazy.force coverage in
-  ignore cov;
-  let tests =
-    [ Test.make ~name:"fig3.trace-and-mine" (Staged.stage (fun () ->
-          let engine = Daikon.Engine.create () in
-          ignore (Trace.Runner.stream ~tick_period:0 ~entry:w.entry
-                    ~observer:(Daikon.Engine.observe engine) w.image)));
-      Test.make ~name:"tab2.optimizer" (Staged.stage (fun () ->
-          ignore (Invopt.Pipeline.optimize sample)));
-      Test.make ~name:"tab3.violation-check" (Staged.stage (fun () ->
-          ignore (Sci.Checker.violations index trigger_trace)));
-      Test.make ~name:"tab4.elastic-net-fit" (Staged.stage (fun () ->
-          ignore (Ml.Logreg.fit ~alpha:0.5 ~lambda:0.05 x y)));
-      Test.make ~name:"fig4.pca-fit" (Staged.stage (fun () ->
-          ignore (Ml.Pca.fit ~k:2 reduced)));
-      Test.make ~name:"tab5.predict-invariant" (Staged.stage (fun () ->
-          let model = Ml.Logreg.fit ~alpha:0.5 ~lambda:0.05 x y in
-          ignore model));
-      Test.make ~name:"tab6.property-matchers" (Staged.stage (fun () ->
-          List.iter
-            (fun (p : Properties.Catalog.t) ->
-               ignore (List.exists p.matcher sample))
-            Properties.Catalog.catalog));
-      Test.make ~name:"tab8.trigger-capture" (Staged.stage (fun () ->
-          ignore (Sci.Identify.capture_trigger b10.trigger)));
-      Test.make ~name:"tab9.cost-model" (Staged.stage (fun () ->
-          ignore (Assertions.Cost.battery_overhead battery)));
-      Test.make ~name:"sec56.assertion-monitor" (Staged.stage (fun () ->
-          ignore (Assertions.Monitor.run battery trigger_trace)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"scifinder" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  header "Bechamel micro-benchmarks (monotonic clock, ns/run)";
-  let rows = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  List.iter
-    (fun (name, ols_result) ->
-       match Analyze.OLS.estimates ols_result with
-       | Some [ est ] -> pf "%-35s %14.0f ns/run\n" name est
-       | Some _ | None -> pf "%-35s %14s\n" name "n/a")
-    (List.sort compare rows)
+(* One entry per experiment id. A table prints and returns true; a gate
+   returns its verdict. [in_all] entries run, in this order, when no id
+   is given. *)
+type experiment = { id : string; in_all : bool; run : unit -> bool }
 
-(* ---- BENCH_pipeline.json: the machine-readable perf trajectory ---- *)
+let table id f = { id; in_all = true; run = (fun () -> f (); true) }
+let gate id run = { id; in_all = false; run }
 
-let write_bench_json () =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  let str = Obs.Sink.buf_add_json_string b in
-  let num = Obs.Sink.buf_add_json_float b in
-  add "{\n  \"schema\": \"scifinder.bench/1\",\n";
-  add (Printf.sprintf "  \"jobs\": %d,\n  \"experiments\": [" !jobs);
-  List.iteri
-    (fun i (id, secs) ->
-       add (if i = 0 then "\n    { \"id\": " else ",\n    { \"id\": ");
-       str id;
-       add ", \"seconds\": ";
-       num secs;
-       add " }")
-    (List.rev !experiment_seconds);
-  add "\n  ]";
-  (* Mining throughput and the invariant-count peak, but only if this run
-     actually mined the corpus (forcing it here would make every cheap
-     experiment pay the full mining bill). *)
-  let mining_block =
-    if not (Lazy.is_val mining) then []
-    else begin
-      let m = Lazy.force mining in
-      let peak =
-        List.fold_left
-          (fun acc (r : Pipeline.figure3_row) -> max acc r.total)
-          0 m.Pipeline.figure3
-      in
-      let rps =
-        if m.Pipeline.seconds > 0.0 then
-          float_of_int m.Pipeline.record_count /. m.Pipeline.seconds
-        else 0.0
-      in
-      [ ("mining",
-         [ ("records", float_of_int m.Pipeline.record_count);
-           ("seconds", m.Pipeline.seconds);
-           ("records_per_sec", rps);
-           ("peak_invariants", float_of_int peak) ]) ]
-    end
-  in
-  List.iter
-    (fun (key, metrics) ->
-       add ",\n  ";
-       str key;
-       add ": {";
-       List.iteri
-         (fun i (k, v) ->
-            add (if i = 0 then "\n    " else ",\n    ");
-            str k;
-            add ": ";
-            num v)
-         metrics;
-       add "\n  }")
-    (mining_block @ List.rev !blocks);
-  add "\n}\n";
-  let oc = open_out "BENCH_pipeline.json" in
-  Fun.protect ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc b);
-  pf "\nwrote BENCH_pipeline.json\n"
-
-(* Minimal CLI: optional "-j N" and "--metrics[=FILE]" (anywhere) plus
-   the positional experiment id and its optional argument (export's
-   directory). *)
-
-let metrics_path : string option ref = ref None
-
-let parse_argv () =
-  let positional = ref [] in
-  let rec go i =
-    if i < Array.length Sys.argv then
-      match Sys.argv.(i) with
-      | "-j" | "--jobs" ->
-        if i + 1 >= Array.length Sys.argv then begin
-          prerr_endline "-j needs a count"; exit 1
-        end;
-        (match int_of_string_opt Sys.argv.(i + 1) with
-         | Some n when n >= 1 -> jobs := n; go (i + 2)
-         | Some _ | None ->
-           prerr_endline ("bad job count: " ^ Sys.argv.(i + 1)); exit 1)
-      | "--metrics" ->
-        metrics_path := Some "BENCH_metrics.jsonl"; go (i + 1)
-      | arg
-        when String.length arg > String.length "--metrics="
-             && String.sub arg 0 (String.length "--metrics=") = "--metrics=" ->
-        let off = String.length "--metrics=" in
-        metrics_path := Some (String.sub arg off (String.length arg - off));
-        go (i + 1)
-      | arg -> positional := arg :: !positional; go (i + 1)
-  in
-  go 1;
-  List.rev !positional
-
-let setup_metrics () =
-  match !metrics_path with
-  | None -> ()
-  | Some path ->
-    let sink = Obs.Sink.jsonl path in
-    Obs.Sink.set_global sink;
-    at_exit (fun () ->
-        Obs.Metrics.emit_all sink;
-        Obs.Sink.set_global Obs.Sink.null;
-        Obs.Sink.close sink)
-
-let timed id f =
-  let (), secs = Obs.Clock.time f in
-  experiment_seconds := (id, secs) :: !experiment_seconds
-
-(* Gated experiments whose gate failed; [main] exits 1 on any, after the
-   JSON is written. *)
-let failed_gates = ref []
-
-let gated id f =
-  timed id (fun () -> if not (f ()) then failed_gates := id :: !failed_gates)
-
-let all_order =
-  [ "fig3"; "tab2"; "tab3"; "tab4"; "fig4"; "tab5"; "tab6"; "tab7";
-    "sec56"; "tab8"; "tab9"; "ablation"; "ablation-coverage";
-    "ablation-integrity" ]
+let registry =
+  [ table "fig3" fig3;
+    table "tab2" tab2;
+    table "tab3" tab3;
+    table "tab4" tab4;
+    table "fig4" fig4;
+    table "tab5" tab5;
+    table "tab6" tab6;
+    table "tab7" tab7;
+    table "sec56" sec56;
+    table "tab8" tab8;
+    table "tab9" tab9;
+    table "ablation" ablation;
+    table "ablation-coverage" ablation_coverage;
+    table "ablation-integrity" ablation_instruction_integrity;
+    gate "obsbench" obsbench;
+    gate "cachebench" cachebench;
+    gate "fuzzbench" fuzzbench;
+    gate "minebench" minebench;
+    gate "mutbench" mutbench;
+    gate "lakebench" lakebench;
+    gate "servebench" servebench;
+    { id = "export";
+      in_all = false;
+      run =
+        (fun () ->
+           export (match positional with _ :: dir :: _ -> dir | _ -> "bench_data");
+           true) } ]
 
 let () =
-  let positional = parse_argv () in
-  setup_metrics ();
-  let second default = match positional with _ :: d :: _ -> d | _ -> default in
-  let dispatch id =
-    match id with
-    | "fig3" -> timed id fig3
-    | "tab2" -> timed id tab2
-    | "tab3" -> timed id tab3
-    | "tab4" -> timed id tab4
-    | "fig4" -> timed id fig4
-    | "tab5" -> timed id tab5
-    | "tab6" -> timed id tab6
-    | "tab7" -> timed id tab7
-    | "tab8" -> timed id tab8
-    | "tab9" -> timed id tab9
-    | "sec56" -> timed id sec56
-    | "ablation" -> timed id ablation
-    | "ablation-coverage" -> timed id ablation_coverage
-    | "ablation-integrity" -> timed id ablation_instruction_integrity
-    | "parbench" -> timed id parbench
-    | "obsbench" -> gated id obsbench
-    | "cachebench" -> gated id cachebench
-    | "fuzzbench" -> gated id fuzzbench
-    | "minebench" -> gated id minebench
-    | "mutbench" -> gated id mutbench
-    | "lakebench" -> gated id lakebench
-    | "servebench" -> gated id servebench
-    | "export" -> timed id (fun () -> export (second "bench_data"))
-    | "bechamel" -> timed id bechamel
-    | other ->
-      prerr_endline ("unknown experiment: " ^ other);
-      exit 1
+  let chosen =
+    match positional with
+    | [] -> List.filter (fun e -> e.in_all) registry
+    | id :: _ ->
+      (match List.find_opt (fun e -> e.id = id) registry with
+       | Some e -> [ e ]
+       | None ->
+         prerr_endline
+           ("unknown experiment: " ^ id ^ " (one of: "
+            ^ String.concat " " (List.map (fun e -> e.id) registry) ^ ")");
+         exit 1)
   in
-  (match (match positional with e :: _ -> e | [] -> "all") with
-   | "all" -> List.iter dispatch all_order
-   | id -> dispatch id);
-  write_bench_json ();
-  if !failed_gates <> [] then begin
+  let failed = List.filter (fun e -> not (e.run ())) chosen in
+  if failed <> [] then begin
     prerr_endline
-      ("gate failed: " ^ String.concat ", " (List.rev !failed_gates));
+      ("gate failed: " ^ String.concat ", " (List.map (fun e -> e.id) failed));
     exit 1
   end

@@ -1,60 +1,59 @@
 #!/bin/sh
-# Tier-1 gate: build, test, and smoke-run the sharded miner and the
-# telemetry-instrumented bench harness.
+# Tier-1 gate: build, test, and smoke-run the sharded miner, the bench
+# harness and the CLI surfaces. Every gate exits non-zero when it
+# fails, which stops this script.
 set -eu
+# Every artefact goes to one private directory, removed on exit; a serve
+# daemon still running when a check fails is stopped first.
+T=$(mktemp -d)
+SERVE_PID=
+cleanup() {
+  if [ -n "$SERVE_PID" ]; then
+    kill "$SERVE_PID" 2>/dev/null || true
+    wait "$SERVE_PID" 2>/dev/null || true
+  fi
+  rm -rf "$T"
+}
+trap cleanup EXIT
+trap 'exit 1' HUP INT TERM
 dune build
 dune runtest
 # Determinism gate: the whole suite again under randomized hash seeds.
 # Invariant extraction, Figure 3 rows and snapshot bytes must not depend
 # on Hashtbl iteration order ("bit-identical for every jobs >= 1").
 OCAMLRUNPARAM=R dune runtest --force
-# Bench smoke: mine Figure 3 on two shards with the JSONL sink attached;
-# the run must leave a parseable BENCH_pipeline.json and metrics stream.
-rm -f BENCH_pipeline.json BENCH_metrics.jsonl
-dune exec bench/main.exe -- fig3 -j 2 --metrics
-test -s BENCH_pipeline.json
-test -s BENCH_metrics.jsonl
-dune exec bench/check_json.exe -- BENCH_pipeline.json BENCH_metrics.jsonl
-# Bench-trend gate: the synthetic-regression selftest must bite, the
-# fresh headline numbers append to the history, and the latest entry
-# must sit within 20% of the trailing median (fresh histories pass
-# trivially). Every gate below — these two and each gated bench/main.exe
-# experiment — exits non-zero when it fails, which stops this script.
-dune exec bench/trend.exe -- selftest
-dune exec bench/trend.exe -- record BENCH_pipeline.json
-dune exec bench/trend.exe -- check
+# Bench smoke: mine Figure 3 on two shards.
+dune exec bench/main.exe -- fig3 -j 2
 # Flight-recorder gate: a provenance mine must attribute at least one
 # death per invariant family — candidate, killing workload, record —
 # while writing both telemetry artifacts in one run.
-rm -f /tmp/scif_run.jsonl /tmp/scif_run.trace.json
 dune exec bin/scifinder.exe -- mine -j 2 -w helloworld -w basicmath \
-  --explain "" --limit 3 --metrics /tmp/scif_run.jsonl \
-  --trace-out /tmp/scif_run.trace.json | tee /tmp/explain.out
+  --explain "" --limit 3 --metrics "$T/run.jsonl" \
+  --trace-out "$T/run.trace.json" | tee "$T/explain.out"
 for fam in oneof mod relation diff scale; do
-  grep -q "^  $fam .*killed by .*(record " /tmp/explain.out
+  grep -q "^  $fam .*killed by .*(record " "$T/explain.out"
 done
 # The Chrome trace must validate structurally (strict parse, consistent
 # pids, non-negative timestamps/durations) and be Perfetto-loadable:
 # no mine.shard span may float as a root.
-dune exec bench/check_json.exe -- /tmp/scif_run.trace.json /tmp/scif_run.jsonl
-! grep -q '"name":"mine.shard".*"parent":null' /tmp/scif_run.trace.json
+dune exec bench/check_json.exe -- "$T/run.trace.json" "$T/run.jsonl"
+! grep -q '"name":"mine.shard".*"parent":null' "$T/run.trace.json"
 # The report command digests the same stream: span tree, candidate
 # funnel, and zero skipped lines on our own telemetry.
-dune exec bin/scifinder.exe -- report /tmp/scif_run.jsonl | tee /tmp/report.out
-grep -q 'pipeline.mine' /tmp/report.out
-grep -q 'candidate funnel' /tmp/report.out
-grep -q 'skipped lines: 0' /tmp/report.out
+dune exec bin/scifinder.exe -- report "$T/run.jsonl" | tee "$T/report.out"
+grep -q 'pipeline.mine' "$T/report.out"
+grep -q 'candidate funnel' "$T/report.out"
+grep -q 'skipped lines: 0' "$T/report.out"
 # The SCI-deploying commands optimise and identify through the pipeline,
 # so their telemetry carries both phase spans.
-rm -f /tmp/scif_identify.jsonl
 dune exec bin/scifinder.exe -- identify -b b10 \
-  --metrics /tmp/scif_identify.jsonl > /dev/null
-dune exec bin/scifinder.exe -- report /tmp/scif_identify.jsonl \
-  | tee /tmp/identify_report.out
-grep -q 'pipeline.optimize' /tmp/identify_report.out
-grep -q 'pipeline.identify' /tmp/identify_report.out
-# Telemetry overhead budget: obsbench prints (and BENCH_pipeline.json
-# records) the estimated null-sink overhead; the gate is < 2%.
+  --metrics "$T/identify.jsonl" > /dev/null
+dune exec bin/scifinder.exe -- report "$T/identify.jsonl" \
+  | tee "$T/identify_report.out"
+grep -q 'pipeline.optimize' "$T/identify_report.out"
+grep -q 'pipeline.identify' "$T/identify_report.out"
+# Telemetry overhead budget: obsbench prints the estimated null-sink
+# overhead; the gate is < 2%.
 dune exec bench/main.exe -- obsbench
 # Incremental-mining gate: a warm cache run must be bit-identical to the
 # cold run (invariant set + Figure 3 rows), reject damaged snapshots,
@@ -90,12 +89,11 @@ dune exec bench/main.exe -- lakebench
 # The lake round-trips through the CLI: record one workload's segment
 # with trace --record-out, then mine it back out-of-core — sharded
 # across 4 domains, which must not change a single reported number.
-rm -rf /tmp/scif_lake && mkdir -p /tmp/scif_lake
-dune exec bin/scifinder.exe -- trace pi --limit 0 --record-out /tmp/scif_lake/pi.seg | tee /tmp/lakecli.out
-grep -q 'recorded 477 records to /tmp/scif_lake/pi.seg' /tmp/lakecli.out
-dune exec bin/scifinder.exe -- mine --from-lake /tmp/scif_lake -j 4 --limit 1 | tee /tmp/lakemine.out
-grep -q 'lake: 477 records from 1 segments' /tmp/lakemine.out
-rm -rf /tmp/scif_lake
+mkdir "$T/lake"
+dune exec bin/scifinder.exe -- trace pi --limit 0 --record-out "$T/lake/pi.seg" | tee "$T/lakecli.out"
+grep -q "recorded 477 records to $T/lake/pi.seg" "$T/lakecli.out"
+dune exec bin/scifinder.exe -- mine --from-lake "$T/lake" -j 4 --limit 1 | tee "$T/lakemine.out"
+grep -q 'lake: 477 records from 1 segments' "$T/lakemine.out"
 # Servebench gate: hundreds of concurrent synthetic clients against the
 # in-process mining service must sustain >= 0.8x the direct batch mining
 # throughput on the same worker count, record a p99 job latency, answer
@@ -105,23 +103,22 @@ dune exec bench/main.exe -- servebench
 # Serve CLI smoke: a real daemon on a Unix socket, driven by the client
 # subcommands, then SIGTERM — the graceful path must drain, exit 0, and
 # flush a parseable telemetry stream (the signal-flush guarantee).
-rm -f /tmp/scif_serve.sock /tmp/scif_serve.jsonl
-dune exec bin/scifinder.exe -- serve --socket /tmp/scif_serve.sock \
-  --metrics /tmp/scif_serve.jsonl -j 2 &
+dune exec bin/scifinder.exe -- serve --socket "$T/serve.sock" \
+  --metrics "$T/serve.jsonl" -j 2 &
 SERVE_PID=$!
 i=0
-while [ ! -S /tmp/scif_serve.sock ]; do
+while [ ! -S "$T/serve.sock" ]; do
   i=$((i + 1)); [ $i -le 100 ] || { echo "serve socket never appeared"; exit 1; }
   sleep 0.1
 done
-dune exec bin/scifinder.exe -- client mine --socket /tmp/scif_serve.sock -w pi | tee /tmp/servecli.out
-grep -q 'mined 477 records (session total 477)' /tmp/servecli.out
-dune exec bin/scifinder.exe -- client mine --socket /tmp/scif_serve.sock -w helloworld | tee /tmp/servecli2.out
-grep -q 'mined 329 records (session total 806)' /tmp/servecli2.out
-dune exec bin/scifinder.exe -- client status --socket /tmp/scif_serve.sock | tee /tmp/servestatus.out
-grep -q 'p99 job' /tmp/servestatus.out
+dune exec bin/scifinder.exe -- client mine --socket "$T/serve.sock" -w pi | tee "$T/servecli.out"
+grep -q 'mined 477 records (session total 477)' "$T/servecli.out"
+dune exec bin/scifinder.exe -- client mine --socket "$T/serve.sock" -w helloworld | tee "$T/servecli2.out"
+grep -q 'mined 329 records (session total 806)' "$T/servecli2.out"
+dune exec bin/scifinder.exe -- client status --socket "$T/serve.sock" | tee "$T/servestatus.out"
+grep -q 'p99 job' "$T/servestatus.out"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
-test -s /tmp/scif_serve.jsonl
-dune exec bench/check_json.exe -- /tmp/scif_serve.jsonl
-rm -f /tmp/scif_serve.sock /tmp/scif_serve.jsonl
+SERVE_PID=
+test -s "$T/serve.jsonl"
+dune exec bench/check_json.exe -- "$T/serve.jsonl"

@@ -27,13 +27,15 @@ val create :
 
 val observe : t -> Trace.Record.t -> unit
 (** Feed one instruction-boundary record. Program points are interned
-    (integer slots, last-point cache). A pair whose diff and scale
-    candidates are dead and whose relation bit this record repeats is
-    skipped after one flag-byte test, so the per-record cost tracks the
-    live candidate set, not everything ever instantiated. Every
-    falsification goes through the death rules {!merge_into} uses too;
-    with provenance on, each candidate state change is reported to the
-    recorder as it happens. *)
+    (integer slots, last-point cache). Every record visits every pair of
+    its point, settled or not, so the per-record cost tracks the pairs
+    ever instantiated there (about 3,660 pair visits per record over
+    the full corpus), not the live candidate set. A visit is cheap only
+    for a settled pair: one whose diff and scale candidates are dead and
+    whose relation bit this record repeats leaves after one flag-byte
+    test. Every falsification goes through the death rules {!merge_into}
+    uses too; with provenance on, each candidate state change is
+    reported to the recorder as it happens. *)
 
 val observe_baseline : t -> Trace.Record.t -> unit
 (** The pre-interning reference path: a string-keyed hash lookup per

@@ -1,6 +1,7 @@
 (** A minimal JSON reader — just enough to validate and inspect the
-    telemetry JSONL stream and [BENCH_pipeline.json] without pulling a
-    JSON dependency into the toolchain. Accepts standard JSON (RFC 8259)
+    telemetry JSONL stream, Chrome traces, the serve protocol and
+    scibench's result files without pulling a JSON dependency into the
+    toolchain. Accepts standard JSON (RFC 8259)
     minus the exotic corners we never emit (surrogate-pair escapes are
     passed through verbatim). *)
 

@@ -13,7 +13,8 @@
    The fixed-width frame means the reader touches one block at a time
    through a channel — out-of-core by construction — and any torn tail
    (a crash mid-append) or bit damage surfaces as [Corrupt_segment], in
-   the style of the SCIFSNAP snapshot codec.
+   the style of the SCIFSNAP snapshot codec. The next writer cuts a torn
+   tail before it appends ([cut_torn_tail]).
 
    The payload is columnar: the block's records are transposed so each
    of the [Var.total] variables becomes one contiguous varint stream.
@@ -43,6 +44,7 @@ let c_records_written = Obs.Metrics.counter "lake.records_written"
 let c_bytes_written = Obs.Metrics.counter "lake.bytes_written"
 let c_records_read = Obs.Metrics.counter "lake.records_read"
 let c_blocks_read = Obs.Metrics.counter "lake.blocks_read"
+let c_torn_tails_cut = Obs.Metrics.counter "lake.torn_tails_cut"
 
 (* ---- applicability masks, packed 8 bits per byte ---- *)
 
@@ -164,6 +166,76 @@ let output_block oc ~workload buf n =
   Obs.Metrics.add c_records_written n;
   Obs.Metrics.add c_bytes_written (header_len + len)
 
+(* ---- framing ---- *)
+
+(* Frame-header fields from the first byte plus the remaining
+   [header_len - 1] bytes: every framing check except the payload
+   digest, shared by the streaming reader and the header walk. *)
+let parse_frame_rest c0 rest =
+  if c0 <> magic.[0] || Bytes.sub_string rest 0 6 <> String.sub magic 1 6
+  then corrupt "bad segment magic";
+  let v = Char.code (Bytes.get rest 6) in
+  if v < 1 || v > version then corrupt "unsupported segment version %d" v;
+  let digest = Bytes.sub_string rest 7 16 in
+  let len = Int32.to_int (Bytes.get_int32_be rest 23) in
+  if len < 0 then corrupt "negative block length";
+  (digest, len)
+
+let verify_frame (digest, payload) =
+  if not (String.equal (Digest.string payload) digest) then
+    corrupt "block digest mismatch";
+  payload
+
+(* A header cut short by EOF is torn only if the bytes it has are a
+   prefix of a valid header's magic and version; anything else is not
+   a segment tail at all. *)
+let check_torn_header head =
+  let n = min (String.length head) (String.length magic) in
+  if String.sub head 0 n <> String.sub magic 0 n then
+    corrupt "bad segment magic";
+  if String.length head > String.length magic then begin
+    let v = Char.code head.[String.length magic] in
+    if v < 1 || v > version then corrupt "unsupported segment version %d" v
+  end
+
+(* The one frame-header walk, behind the header-only scans, the range
+   fold's seek and the writer's tail check. From [ic]'s position it
+   steps over up to [limit] complete frames, seeking past each payload
+   (or reading and digest-checking it when [verify]), and returns their
+   (digest, on-disk size) in file order, plus [Some pos] when it stopped
+   at a torn last frame: one starting at [pos] whose header or payload
+   ends past EOF. A bad magic or version raises, in a torn header too. *)
+let walk_frames ?(limit = max_int) ?(verify = false) ic =
+  let size = in_channel_length ic in
+  let rec loop n acc =
+    let pos = pos_in ic in
+    if n = limit || pos = size then (List.rev acc, None)
+    else if pos + header_len > size then begin
+      check_torn_header (really_input_string ic (size - pos));
+      (List.rev acc, Some pos)
+    end
+    else begin
+      let c0 = input_char ic in
+      let rest = Bytes.create (header_len - 1) in
+      really_input ic rest 0 (header_len - 1);
+      let digest, len = parse_frame_rest c0 rest in
+      let next = pos + header_len + len in
+      if next > size then (List.rev acc, Some pos)
+      else begin
+        if verify then ignore (verify_frame (digest, really_input_string ic len))
+        else seek_in ic next;
+        loop (n + 1) ((digest, header_len + len) :: acc)
+      end
+    end
+  in
+  loop 0 []
+
+(* [walk_frames] for readers, to whom a torn tail is damage. *)
+let complete_frames ?limit ic =
+  match walk_frames ?limit ic with
+  | frames, None -> frames
+  | _, Some pos -> corrupt "torn block at byte %d" pos
+
 (* ---- writer ---- *)
 
 type writer = {
@@ -179,9 +251,29 @@ type writer = {
 
 let dummy_record = { Record.point = ""; values = [||]; mask = [||] }
 
+(* A crash mid-append can leave a torn last frame, behind which every
+   later append would be unreadable: cut it back to the last block
+   boundary. Any other damage raises, as a read would. This assumes one
+   writer per segment; a concurrent append would look torn. *)
+let cut_torn_tail path =
+  match open_in_bin path with
+  | exception Sys_error _ -> ()
+  | ic ->
+    let _, torn =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> walk_frames ~verify:true ic)
+    in
+    Option.iter
+      (fun pos ->
+         Unix.truncate path pos;
+         Obs.Metrics.incr c_torn_tails_cut)
+      torn
+
 let create ?(records_per_block = default_records_per_block) ~workload path =
   if records_per_block <= 0 then
     invalid_arg "Segment.create: records_per_block must be positive";
+  cut_torn_tail path;
   let oc =
     open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
       path
@@ -238,19 +330,6 @@ let with_writer ?records_per_block ~workload path f =
 
 (* ---- reading ---- *)
 
-(* Frame-header fields from the first byte plus the remaining
-   [header_len - 1] bytes: every framing check except the payload
-   digest, shared by the streaming reader and the header-only scans. *)
-let parse_frame_rest c0 rest =
-  if c0 <> magic.[0] || Bytes.sub_string rest 0 6 <> String.sub magic 1 6
-  then corrupt "bad segment magic";
-  let v = Char.code (Bytes.get rest 6) in
-  if v < 1 || v > version then corrupt "unsupported segment version %d" v;
-  let digest = Bytes.sub_string rest 7 16 in
-  let len = Int32.to_int (Bytes.get_int32_be rest 23) in
-  if len < 0 then corrupt "negative block length";
-  (digest, len)
-
 (* One framed block from the channel: [None] at a clean end of file,
    [Corrupt_segment] on a torn one. The first byte is read separately so
    EOF exactly on a block boundary is distinguishable from a tail that
@@ -270,11 +349,6 @@ let input_frame ic =
       with End_of_file -> corrupt "torn block payload"
     in
     Some (digest, payload)
-
-let verify_frame (digest, payload) =
-  if not (String.equal (Digest.string payload) digest) then
-    corrupt "block digest mismatch";
-  payload
 
 (* Reusable decode buffers. A fresh decode allocates one [Var.total]
    int row per record per block; across a multi-GB replay that is the
@@ -482,25 +556,10 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-       let size = in_channel_length ic in
        (* Seek past the frames before the range; a file with fewer
           blocks than [first_block] yields an empty range, not an
           error — shard planners size ranges from the same headers. *)
-       let skipped = ref 0 in
-       (try
-          while !skipped < first_block do
-            match input_char ic with
-            | exception End_of_file -> raise Exit
-            | c0 ->
-              let rest = Bytes.create (header_len - 1) in
-              (try really_input ic rest 0 (header_len - 1)
-               with End_of_file -> corrupt "torn block header");
-              let _digest, len = parse_frame_rest c0 rest in
-              if pos_in ic + len > size then corrupt "torn block payload";
-              seek_in ic (pos_in ic + len);
-              incr skipped
-          done
-        with Exit -> ());
+       let skipped = List.length (complete_frames ~limit:first_block ic) in
        let acc = ref init in
        let records = ref 0 in
        let blocks = ref 0 in
@@ -527,7 +586,7 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
          Obs.Metrics.add c_records_read (Array.length batch)
        in
        let budget = last_block - first_block in
-       if !skipped = first_block && budget > 0 then
+       if skipped = first_block && budget > 0 then
          if read_ahead then read_frames_prefetched ic ~budget consume
          else begin
            let continue = ref true in
@@ -554,28 +613,15 @@ let iter ?on_workload ~f path =
   snd (fold ?on_workload ~init:() ~f:(fun () r -> f r) path)
 
 (* Header-only scan: per-block (digest, on-disk size), one seek per
-   block — payloads are skipped, not read or verified. The framing
-   checks mirror [input_frame]'s, so a torn tail still surfaces as
-   [Corrupt_segment] instead of keying a cache entry or a shard plan. *)
+   block — payloads are skipped, not read or verified. A torn tail
+   still surfaces as [Corrupt_segment] instead of keying a cache entry
+   or a shard plan. *)
 let scan_frames path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-       let size = in_channel_length ic in
-       let rec loop acc =
-         match input_char ic with
-         | exception End_of_file -> List.rev acc
-         | c0 ->
-           let rest = Bytes.create (header_len - 1) in
-           (try really_input ic rest 0 (header_len - 1)
-            with End_of_file -> corrupt "torn block header");
-           let digest, len = parse_frame_rest c0 rest in
-           if pos_in ic + len > size then corrupt "torn block payload";
-           seek_in ic (pos_in ic + len);
-           loop ((digest, header_len + len) :: acc)
-       in
-       let frames = loop [] in
+       let frames = complete_frames ic in
        if frames = [] then corrupt "empty segment file";
        frames)
 

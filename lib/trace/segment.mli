@@ -26,7 +26,15 @@ val create : ?records_per_block:int -> workload:string -> string -> writer
 (** [create ~workload path] opens [path] for append (creating it if
     missing) and buffers up to [records_per_block] (default 1024,
     sized so a block's decoded working set stays cache-resident)
-    records per block — the only materialization on the write side. *)
+    records per block — the only materialization on the write side.
+
+    An existing file is checked first, one writer per segment assumed.
+    A torn last frame (a crash mid-append: its header or payload ends
+    past EOF) is cut back to the last block boundary, so a crash loses
+    at most the interrupted append. Any other damage — a bad magic or
+    version, in a header cut short too, or a complete block whose digest
+    is wrong — raises {!Corrupt_segment}, as a read would, and leaves
+    the file unchanged. *)
 
 val add : writer -> Record.t -> unit
 (** Append one record, flushing a full block to disk. Usable directly as

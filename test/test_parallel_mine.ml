@@ -6,6 +6,8 @@
 
    [test_parallel_mine.exe golden] prints the sequential run instead:
    dune diffs that against [phase1.golden], which pins phase 1 exactly.
+   [test_parallel_mine.exe pipeline] prints Tables 2 and 3 and the
+   seed-42 campaign over that run, diffed against [pipeline.golden].
    An intended change is reviewed as that diff and accepted with
    [dune promote]. *)
 
@@ -113,12 +115,53 @@ let print_provenance_golden () =
          (Daikon.Engine.death_families (Daikon.Engine.decode bytes)))
     [ 1; 2 ]
 
+(* Phases 2-4, pinned: Table 2's stages, Table 3 per bug and the
+   seed-42 campaign over the unique SCI, all from the sequential run. *)
+let print_pipeline_golden () =
+  print_endline
+    "# Tables 2 and 3 and the seed-42 campaign over Pipeline.mine ~jobs:1.";
+  print_endline
+    "# Regenerate after an intended change: dune runtest; dune promote.";
+  let o = Pipeline.optimize (Lazy.force seq).Pipeline.invariants in
+  List.iter
+    (fun (s : Invopt.Pipeline.stage_stats) ->
+       Printf.printf "table2 %s invariants=%d variables=%d\n" s.stage
+         s.invariants s.variables)
+    o.Pipeline.result.Invopt.Pipeline.stages;
+  let summary =
+    (Pipeline.identify ~invariants:o.Pipeline.result.Invopt.Pipeline.optimized
+       Bugs.Table1.all).Pipeline.summary
+  in
+  let reports = summary.Sci.Identify.reports in
+  List.iter
+    (fun (r : Sci.Identify.report) ->
+       Printf.printf "table3 %s true_sci=%d fp=%d detected=%b\n"
+         r.bug.Bugs.Registry.id (List.length r.true_sci)
+         (List.length r.false_positives) r.detected)
+    reports;
+  Printf.printf "table3 detected %d/%d\n"
+    (List.length (List.filter (fun (r : Sci.Identify.report) -> r.detected)
+                    reports))
+    (List.length reports);
+  Printf.printf "table3 unique sci %d, unique fp %d\n"
+    (List.length summary.Sci.Identify.unique_sci)
+    (List.length summary.Sci.Identify.unique_fp);
+  let camp =
+    Pipeline.campaign ~seed:42 ~mutants:200 ~sci:summary.Sci.Identify.unique_sci
+      ()
+  in
+  Printf.printf "campaign seed=42 mutants=200 fingerprint %s\n"
+    camp.Pipeline.fingerprint;
+  Printf.printf "campaign detected %d/%d\n" camp.Pipeline.detected_total
+    camp.Pipeline.mutant_total
+
 let () =
-  if Array.length Sys.argv = 2 && Sys.argv.(1) = "golden" then begin
+  match Array.to_list Sys.argv with
+  | [ _; "golden" ] ->
     print_golden (Lazy.force seq);
     print_provenance_golden ()
-  end
-  else
+  | [ _; "pipeline" ] -> print_pipeline_golden ()
+  | _ ->
     Alcotest.run "parallel_mine"
       [ ("parallel",
          [ Alcotest.test_case "map order" `Quick test_map_order;

@@ -149,6 +149,14 @@ let drain path =
   let info = Segment.iter ~f:(fun _ -> incr n) path in
   (!n, info)
 
+(* An append to a damaged segment must raise and leave every byte of
+   the file as it was: the writer cuts torn tails, nothing else. *)
+let expect_append_refused what w path =
+  let before = Util.Binio.read_file path in
+  expect_corrupt what (fun () -> record w path);
+  if not (String.equal before (Util.Binio.read_file path)) then
+    Alcotest.failf "%s: the refused append changed the file" what
+
 (* Block boundaries of a segment file, from the 4-byte big-endian
    payload length at offset 24 of each 28-byte frame header. *)
 let block_boundaries bytes =
@@ -178,6 +186,13 @@ let test_truncation_at_every_offset () =
       Alcotest.(check bool) "spans several blocks" true
         (List.length boundaries > 2);
       let full, _ = drain path in
+      let records p =
+        List.rev (fst (Segment.fold ~init:[] ~f:(fun acc r -> r :: acc) p))
+      in
+      let trace = records path in
+      let torn_cuts () =
+        Obs.Metrics.counter_value (Obs.Metrics.counter "lake.torn_tails_cut")
+      in
       let cut_path = Filename.concat dir "cut.seg" in
       for cut = 0 to String.length bytes - 1 do
         let oc = open_out_bin cut_path in
@@ -194,7 +209,21 @@ let test_truncation_at_every_offset () =
         end
         else
           expect_corrupt (Printf.sprintf "prefix of %d bytes" cut) (fun () ->
-              drain cut_path)
+              drain cut_path);
+        (* The cut as a crash mid-append: the next writer must cut the
+           torn frame, so the fold sees the complete blocks before the
+           cut and then the new append, whole. *)
+        let cuts0 = torn_cuts () in
+        Segment.with_writer ~records_per_block:16 ~workload:w.name cut_path
+          (fun sw -> List.iter (Segment.add sw) trace);
+        let torn = cut > 0 && not (List.mem cut boundaries) in
+        if torn_cuts () - cuts0 <> Bool.to_int torn then
+          Alcotest.failf "append after a cut at byte %d: torn %b not counted"
+            cut torn;
+        let kept = List.length (List.filter (fun b -> b <= cut) boundaries) in
+        let expected = List.filteri (fun i _ -> i < 16 * kept) trace @ trace in
+        if records cut_path <> expected then
+          Alcotest.failf "append after a cut at byte %d: fold differs" cut
       done)
 
 let test_bitflip_rejected () =
@@ -210,7 +239,8 @@ let test_bitflip_rejected () =
       let oc = open_out_bin bad in
       output_bytes oc bytes;
       close_out oc;
-      expect_corrupt "flipped byte" (fun () -> drain bad))
+      expect_corrupt "flipped byte" (fun () -> drain bad);
+      expect_append_refused "append to flipped" w bad)
 
 let test_foreign_and_future_rejected () =
   with_tmp_dir (fun dir ->
@@ -219,11 +249,26 @@ let test_foreign_and_future_rejected () =
       output_string oc "this is not a segment file at all.......";
       close_out oc;
       expect_corrupt "foreign bytes" (fun () -> drain junk);
-      (* Bump the version byte of a real segment: readers must refuse
-         rather than misparse a future layout. *)
       let w = workload "helloworld" in
+      expect_append_refused "append to foreign bytes" w junk;
+      (* Shorter than one frame header, alone or behind valid frames:
+         still not a torn frame, so the writer must not cut it. *)
+      let notes = Filename.concat dir "notes.txt" in
+      let oc = open_out_bin notes in
+      output_string oc "short notes\n";
+      close_out oc;
+      expect_append_refused "append to a short foreign file" w notes;
       let path = Filename.concat dir "w.seg" in
       record w path;
+      let tailed = Filename.concat dir "tailed.seg" in
+      let oc = open_out_bin tailed in
+      output_string oc (Util.Binio.read_file path);
+      output_string oc "junk";
+      close_out oc;
+      expect_corrupt "short junk tail" (fun () -> drain tailed);
+      expect_append_refused "append behind short junk" w tailed;
+      (* Bump the version byte of a real segment: readers must refuse
+         rather than misparse a future layout. *)
       let bytes = Bytes.of_string (Util.Binio.read_file path) in
       Bytes.set bytes 7 (Char.chr (Segment.version + 1));
       let future = Filename.concat dir "future.seg" in
@@ -231,6 +276,7 @@ let test_foreign_and_future_rejected () =
       output_bytes oc bytes;
       close_out oc;
       expect_corrupt "future version" (fun () -> drain future);
+      expect_append_refused "append to future version" w future;
       expect_corrupt "empty file" (fun () ->
           let empty = Filename.concat dir "empty.seg" in
           close_out (open_out_bin empty);
