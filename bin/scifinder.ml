@@ -114,18 +114,20 @@ let jobs_arg =
                (default: the recommended domain count). The mined set is \
                identical for any N.")
 
-(* --cache DIR persists per-workload engine snapshots (and, for the full
-   corpus, the whole mining summary) so warm re-runs skip tracing;
-   --no-cache is the escape hatch when the directory is inherited from
-   the environment or a wrapper script. *)
+(* --cache DIR persists per-workload engine shards, corpus summaries and
+   lake results so warm re-runs skip tracing; --no-cache is the escape
+   hatch when the directory is inherited from the environment or a
+   wrapper script. *)
 let cache_term =
   let cache =
     Arg.(value & opt (some string) None
          & info [ "cache" ] ~docv:"DIR"
-           ~doc:"Reuse per-workload engine snapshots under $(docv): cache \
-                 hits skip tracing entirely; stale or damaged entries are \
-                 rejected and re-mined. Results are bit-identical to an \
-                 uncached run. See DESIGN.md for the snapshot format.")
+           ~doc:"Reuse mining results under $(docv), one file per \
+                 workload shard, corpus summary or lake result, named by \
+                 a digest of everything that produced it: cache hits \
+                 skip tracing entirely; damaged entries are rejected and \
+                 re-mined. Results are bit-identical to an uncached run. \
+                 See DESIGN.md for the cache store.")
   in
   let no_cache =
     Arg.(value & flag
@@ -335,8 +337,7 @@ let mine_cmd =
                  Segments are replayed in sorted filename order, one \
                  block in memory at a time; with $(b,-j) N the replay \
                  shards into byte-balanced block ranges across N \
-                 domains, with block read-ahead overlapping disk and \
-                 decode. The mined set — and the engine snapshot, byte \
+                 domains. The mined set — and the engine snapshot, byte \
                  for byte — is identical for any N and bit-identical \
                  to a live sequential run over the same traces.")
   in

@@ -44,19 +44,23 @@ let publish_engine_stats engine =
        set "dead" (fs.born - fs.live))
     (Daikon.Engine.candidate_stats engine)
 
-(* ---- Caches (warm-restart mining) ----
+(* ---- The cache store (warm-restart mining) ----
 
-   Every entry lives under the caller-supplied cache directory:
+   One content-addressed store under the caller-supplied cache
+   directory. An entry is one file named by its key:
 
-     <dir>/<workload>.snap        one Daikon engine shard per workload
-     <dir>/mine-<key16>.summary   a full corpus-level mining result
-     <dir>/lake-<key16>.summary   a full lake-level mining result, and
-     <dir>/lake-<key16>.snap      the lake's final engine beside it
+     <dir>/shard-<md5>     one workload's Daikon engine shard
+     <dir>/summary-<md5>   a full corpus-level mining result
+     <dir>/lake-<md5>      a full lake-level mining result and the
+                           lake's final engine
 
-   Every entry embeds its cache key, so a stale entry is positively
-   detected and re-mined rather than silently trusted. Writes are atomic
-   (temp + rename), so a crashed run can never leave a torn entry
-   behind. *)
+   The key digests everything that produced the entry, so runs that
+   differ in config, provenance or input name different files and never
+   overwrite each other. An entry's bytes are one envelope: magic, key,
+   the MD5 of the payload, then the payload. [find] is the one reader
+   and verifier, [store] the one writer; writes are atomic (temp +
+   rename), so a crashed run can never leave a torn entry behind.
+   Nothing is evicted. *)
 
 module Cache = struct
   let rec mkdir_p dir =
@@ -66,25 +70,29 @@ module Cache = struct
        with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
     end
 
-  (* The one key preamble: entry kind, snapshot codec version, engine
-     semantics version, provenance marker and config fingerprint, then
-     whatever identifies the input. The marker keeps a provenance run
-     from adopting a provenance-free entry (whose death records would be
-     missing), and vice versa. *)
+  let magic = "SCIFCACH"
+
+  (* The layout of the envelope and of every payload, part of every key:
+     bump it with any change to either, so an entry in an older layout
+     misses instead of being misread. *)
+  let format = 3
+
+  (* The one key preamble: entry kind, store format, snapshot codec
+     version, engine semantics version, provenance marker and config
+     fingerprint, then whatever identifies the input. The marker keeps a
+     provenance run from adopting a provenance-free entry (whose death
+     records would be missing), and vice versa. The key is the entry's
+     file name, [<kind>-<32 hex digits>]. *)
   let key ~kind ~provenance config add_input =
     let b = Buffer.create 4096 in
     Buffer.add_string b
-      (Printf.sprintf "scifinder-%s/%d/%d\n" kind Daikon.Engine.codec_version
-         Daikon.Engine.semantics_version);
+      (Printf.sprintf "scifinder-%s/%d/%d/%d\n" kind format
+         Daikon.Engine.codec_version Daikon.Engine.semantics_version);
     if provenance then Buffer.add_string b "provenance\n";
     Buffer.add_string b (Daikon.Config.canonical_string config);
     Buffer.add_char b '\n';
     add_input b;
-    Digest.to_hex (Digest.string (Buffer.contents b))
-
-  let path dir ~prefix ~ext key =
-    Filename.concat dir
-      (Printf.sprintf "%s-%s.%s" prefix (String.sub key 0 16) ext)
+    kind ^ "-" ^ Digest.to_hex (Digest.string (Buffer.contents b))
 
   (* A shard is pinned by the exact byte stream the tracer would
      produce: the workload's name, entry, tick period and full program
@@ -99,45 +107,46 @@ module Cache = struct
              Buffer.add_string b (Printf.sprintf "%x:%x;" addr word))
           w.image)
 
-  (* Registered and fuzz-generated workload names are arbitrary strings;
-     percent-encoding pins each one to a single component of [dir] (a
-     name with '/' or '..' used to escape the cache directory
-     entirely). *)
-  let shard_path dir name =
-    Filename.concat dir (Util.Fsname.encode name ^ ".snap")
+  (* [Some v] when the entry exists, its envelope carries [key] and its
+     payload's digest, and [decode] accepts the payload. A missing entry
+     is [None]; so is a damaged one — torn, bit-flipped or refused by
+     [decode] — which also counts as stale. Either way the caller
+     re-mines and [store] overwrites; a cache entry never raises. *)
+  let find dir key decode =
+    match Util.Binio.read_file (Filename.concat dir key) with
+    | exception Sys_error _ -> None
+    | data ->
+      (match
+         let r = Util.Binio.reader data in
+         let head = Util.Binio.read_string_exact r (String.length magic) in
+         let stored = Util.Binio.read_string r in
+         let digest = Util.Binio.read_string_exact r 16 in
+         let payload = Util.Binio.read_string r in
+         (* Any mismatch reads as damage, like a short file. *)
+         if
+           not
+             (String.equal head magic && String.equal stored key
+              && Util.Binio.eof r
+              && String.equal (Digest.string payload) digest)
+         then raise Util.Binio.Truncated;
+         decode payload
+       with
+       | v -> Some v
+       | exception
+           ( Util.Binio.Truncated | Invariant.Io.Parse_error _
+           | Daikon.Engine.Corrupt_snapshot _
+           | Daikon.Engine.Stale_snapshot _ ) ->
+         Obs.Metrics.incr c_cache_stale;
+         None)
 
-  (* A miss and a stale entry end alike — the caller re-mines and
-     overwrites — and differ only for telemetry. *)
-  let load_engine ~key ~config path =
-    if not (Sys.file_exists path) then `Miss
-    else
-      match Daikon.Engine.load ~key ~config path with
-      | engine -> `Hit engine
-      | exception
-          (Daikon.Engine.Stale_snapshot _ | Daikon.Engine.Corrupt_snapshot _)
-        ->
-        `Stale
-      | exception Sys_error _ -> `Miss
-
-  let load_shard ~config ~provenance dir (w : Workloads.Rt.t) =
-    match
-      load_engine ~key:(shard_key ~provenance config w) ~config
-        (shard_path dir w.name)
-    with
-    | `Hit engine ->
-      Obs.Metrics.incr c_cache_hit;
-      Some engine
-    | `Stale ->
-      Obs.Metrics.incr c_cache_stale;
-      None
-    | `Miss ->
-      Obs.Metrics.incr c_cache_miss;
-      None
-
-  let save_shard ~config ~provenance dir (w : Workloads.Rt.t) engine =
+  let store dir key payload =
     mkdir_p dir;
-    Daikon.Engine.save ~key:(shard_key ~provenance config w) engine
-      (shard_path dir w.name)
+    let w = Util.Binio.writer () in
+    Util.Binio.write_raw w magic;
+    Util.Binio.write_string w key;
+    Util.Binio.write_raw w (Digest.string payload);
+    Util.Binio.write_string w payload;
+    Util.Binio.atomic_write (Filename.concat dir key) (Util.Binio.contents w)
 end
 
 (* ---- Phase 1: invariant generation (§3.1, Figure 3, Table 8) ---- *)
@@ -205,47 +214,45 @@ let trace_workload_into engine (w : Workloads.Rt.t) =
             w.Workloads.Rt.image))
 
 (* One workload shard: a cache hit deserialises the engine and skips
-   tracing entirely; a miss (or stale/corrupt entry) traces and then
-   persists the shard BEFORE the caller merges it — [merge_into] adopts
-   shard state by reference, so saving after the merge would snapshot a
+   tracing entirely; a miss (or damaged entry) traces and then persists
+   the shard BEFORE the caller merges it — [merge_into] adopts shard
+   state by reference, so storing after the merge would snapshot a
    consumed engine. *)
 let mine_shard ~config ~provenance ~cache_dir (w : Workloads.Rt.t) =
-  match cache_dir with
-  | None ->
+  let trace () =
     let shard = Daikon.Engine.create ~config ~provenance () in
     trace_workload_into shard w;
     shard
+  in
+  match cache_dir with
+  | None -> trace ()
   | Some dir ->
-    (match Cache.load_shard ~config ~provenance dir w with
-     | Some shard -> shard
+    let key = Cache.shard_key ~provenance config w in
+    (match Cache.find dir key (Daikon.Engine.decode ~config) with
+     | Some shard ->
+       Obs.Metrics.incr c_cache_hit;
+       shard
      | None ->
-       let shard = Daikon.Engine.create ~config ~provenance () in
-       trace_workload_into shard w;
-       Cache.save_shard ~config ~provenance dir w shard;
+       Obs.Metrics.incr c_cache_miss;
+       let shard = trace () in
+       Cache.store dir key (Daikon.Engine.encode shard);
        shard)
 
-(* ---- Summaries: one codec for the corpus and the lake caches ----
+(* ---- Summaries: one payload codec for the corpus and the lake ----
 
    A warm [mine] over an unchanged corpus, or a warm [Session.mine_lake]
    over an unchanged lake, should not pay for merging and re-extracting
    invariants either, so the full mining result (Figure 3 rows, record
    count, trace bytes, coverage, and the invariant set in the
-   {!Invariant.Io} text grammar) is persisted alongside the engines as
-   [mine-<key16>.summary] or [lake-<key16>.summary]. *)
-
-let summary_magic = "SCIFSUMM"
-
-(* The payload layout, part of every summary key: bump it with any
-   change to [encode_summary], so an entry in an older layout misses
-   instead of being misread. *)
-let summary_format = 2
+   {!Invariant.Io} text grammar) is a cache entry too: a [summary-]
+   entry for the corpus, and the head of a [lake-] entry, whose tail is
+   the lake's final engine. *)
 
 (* A corpus summary folds in every shard key in corpus order plus the
    group structure and labels, so any change to config, codec, images,
    grouping or labelling misses. *)
 let summary_key ~config ~groups ~labels =
-  Cache.key ~kind:(Printf.sprintf "summary/%d" summary_format)
-    ~provenance:false config (fun b ->
+  Cache.key ~kind:"summary" ~provenance:false config (fun b ->
       List.iter2
         (fun group label ->
            Buffer.add_string b ("[" ^ label ^ "]");
@@ -256,14 +263,12 @@ let summary_key ~config ~groups ~labels =
              group)
         groups labels)
 
-(* A lake summary folds in every segment's per-block MD5 digests
-   (readable from the frame headers without decoding a single payload),
-   so touching any byte of the lake — appending a block, replacing a
-   segment — misses positively. The key also names the lake's final
-   engine, [lake-<key16>.snap], which a warm session adopts whole. *)
+(* A lake entry folds in every segment's per-block MD5 digests (readable
+   from the frame headers without decoding a single payload), so
+   touching any byte of the lake — appending a block, replacing a
+   segment — misses positively. *)
 let lake_key ~config segments =
-  Cache.key ~kind:(Printf.sprintf "lake/%d" summary_format)
-    ~provenance:false config (fun b ->
+  Cache.key ~kind:"lake" ~provenance:false config (fun b ->
       List.iter
         (fun path ->
            Buffer.add_string b (Filename.basename path);
@@ -272,7 +277,8 @@ let lake_key ~config segments =
            Buffer.add_char b ';')
         segments)
 
-let encode_summary ~key (m : mining) =
+(* The summary fields, then — in a lake entry — the engine snapshot. *)
+let encode_summary ?engine (m : mining) =
   let p = Util.Binio.writer () in
   Util.Binio.write_uint p (List.length m.figure3);
   List.iter
@@ -289,13 +295,10 @@ let encode_summary ~key (m : mining) =
   List.iter (Util.Binio.write_string p) m.mnemonic_coverage;
   Util.Binio.write_string p
     (String.concat "\n" (List.map Expr.to_string m.invariants));
-  let payload = Util.Binio.contents p in
-  let h = Util.Binio.writer () in
-  Util.Binio.write_raw h summary_magic;
-  Util.Binio.write_string h key;
-  Util.Binio.write_raw h (Digest.string payload);
-  Util.Binio.write_string h payload;
-  Util.Binio.contents h
+  Option.iter
+    (fun e -> Util.Binio.write_string p (Daikon.Engine.encode e))
+    engine;
+  Util.Binio.contents p
 
 (* Reads exactly [n] values in order (the polymorphic list builders in
    the stdlib leave evaluation order unspecified, which matters when [f]
@@ -304,59 +307,25 @@ let read_seq n f =
   let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
   go n []
 
-(* None on any mismatch or damage: a summary is pure acceleration, so
-   the only wrong answer is trusting a bad one. *)
-let decode_summary ~key data =
-  match
-    let r = Util.Binio.reader data in
-    if Util.Binio.read_string_exact r (String.length summary_magic)
-       <> summary_magic
-    then None
-    else if not (String.equal (Util.Binio.read_string r) key) then None
-    else begin
-      let digest = Util.Binio.read_string_exact r 16 in
-      let payload = Util.Binio.read_string r in
-      if Digest.string payload <> digest then None
-      else begin
-        let p = Util.Binio.reader payload in
-        let figure3 =
-          read_seq (Util.Binio.read_uint p) (fun () ->
-              let group_label = Util.Binio.read_string p in
-              let unmodified = Util.Binio.read_uint p in
-              let fresh = Util.Binio.read_uint p in
-              let deleted = Util.Binio.read_uint p in
-              let total = Util.Binio.read_uint p in
-              { group_label; unmodified; fresh; deleted; total })
-        in
-        let record_count = Util.Binio.read_uint p in
-        let trace_bytes = Util.Binio.read_uint p in
-        let mnemonic_coverage =
-          read_seq (Util.Binio.read_uint p) (fun () -> Util.Binio.read_string p)
-        in
-        let invariants = Invariant.Io.of_string (Util.Binio.read_string p) in
-        Some
-          { invariants; figure3; record_count; trace_bytes;
-            mnemonic_coverage; prov = None; seconds = 0.0 }
-      end
-    end
-  with
-  | m -> m
-  | exception Util.Binio.Truncated -> None
-  | exception Invariant.Io.Parse_error _ -> None
-
-let load_summary dir ~prefix ~key =
-  let path = Cache.path dir ~prefix ~ext:"summary" key in
-  if not (Sys.file_exists path) then None
-  else
-    match Util.Binio.read_file path with
-    | data -> decode_summary ~key data
-    | exception Sys_error _ -> None
-
-let save_summary dir ~prefix ~key m =
-  Cache.mkdir_p dir;
-  Util.Binio.atomic_write
-    (Cache.path dir ~prefix ~ext:"summary" key)
-    (encode_summary ~key m)
+(* The summary fields off [p], leaving it at the lake entry's engine. *)
+let decode_summary p =
+  let figure3 =
+    read_seq (Util.Binio.read_uint p) (fun () ->
+        let group_label = Util.Binio.read_string p in
+        let unmodified = Util.Binio.read_uint p in
+        let fresh = Util.Binio.read_uint p in
+        let deleted = Util.Binio.read_uint p in
+        let total = Util.Binio.read_uint p in
+        { group_label; unmodified; fresh; deleted; total })
+  in
+  let record_count = Util.Binio.read_uint p in
+  let trace_bytes = Util.Binio.read_uint p in
+  let mnemonic_coverage =
+    read_seq (Util.Binio.read_uint p) (fun () -> Util.Binio.read_string p)
+  in
+  let invariants = Invariant.Io.of_string (Util.Binio.read_string p) in
+  { invariants; figure3; record_count; trace_bytes; mnemonic_coverage;
+    prov = None; seconds = 0.0 }
 
 let missing_mnemonics engine =
   let seen = Hashtbl.create 97 in
@@ -406,9 +375,9 @@ let absorb_shard engine shard =
   Obs.Metrics.incr c_merges
 
 (* Replay one shard-plan span of a lake segment into [engine], block by
-   block. Scratch decode and read-ahead are safe here: the engine copies
-   the values it keeps at observation, so nothing aliases the recycled
-   rows past the fold. *)
+   block. Scratch decode is safe here: the engine copies the values it
+   keeps at observation, so nothing aliases the recycled rows past the
+   fold. *)
 let replay_span_into engine (sp : Trace.Segment.span) =
   let (), info =
     Obs.Span.with_ ~name:"lake.replay"
@@ -419,7 +388,6 @@ let replay_span_into engine (sp : Trace.Segment.span) =
       (fun () ->
          Trace.Segment.fold_range
            ~on_workload:(Daikon.Engine.set_workload engine)
-           ~read_ahead:true
            ~scratch:(Trace.Segment.scratch ())
            ~first_block:sp.Trace.Segment.sp_first
            ~last_block:sp.Trace.Segment.sp_last
@@ -633,16 +601,18 @@ module Session = struct
     let warm =
       Option.bind cache (fun (dir, key) ->
           match
-            ( Cache.load_engine ~key ~config:t.config
-                (Cache.path dir ~prefix:"lake" ~ext:"snap" key),
-              load_summary dir ~prefix:"lake" ~key )
+            Cache.find dir key (fun payload ->
+                let p = Util.Binio.reader payload in
+                let m = decode_summary p in
+                (m, Daikon.Engine.decode ~config:t.config
+                      (Util.Binio.read_string p)))
           with
-          | `Hit engine, Some m ->
+          | Some (m, engine) ->
             Obs.Metrics.incr c_summary_hit;
             t.engine <- engine;
             t.previous <- canon_set m.invariants;
             Some m
-          | _ ->
+          | None ->
             Obs.Metrics.incr c_summary_miss;
             None)
     in
@@ -656,10 +626,7 @@ module Session = struct
         let m = result t ~figure3 ~records ~trace_bytes in
         Option.iter
           (fun (dir, key) ->
-             Cache.mkdir_p dir;
-             Daikon.Engine.save ~key t.engine
-               (Cache.path dir ~prefix:"lake" ~ext:"snap" key);
-             save_summary dir ~prefix:"lake" ~key m)
+             Cache.store dir key (encode_summary ~engine:t.engine m))
           cache;
         m
     in
@@ -755,7 +722,8 @@ let mine ?(config = Daikon.Config.default)
     in
     match
       Option.bind cache (fun (dir, key) ->
-          load_summary dir ~prefix:"mine" ~key)
+          Cache.find dir key (fun payload ->
+              decode_summary (Util.Binio.reader payload)))
     with
     | Some m ->
       Obs.Metrics.incr c_summary_hit;
@@ -771,7 +739,7 @@ let mine ?(config = Daikon.Config.default)
           ~trace_bytes:(records * Trace.Var.total * 8)
       in
       Option.iter
-        (fun (dir, key) -> save_summary dir ~prefix:"mine" ~key m)
+        (fun (dir, key) -> Cache.store dir key (encode_summary m))
         cache;
       m
   in

@@ -61,21 +61,24 @@ val mine :
     order, so the invariant set and every Figure 3 snapshot are identical
     for any [jobs >= 1].
 
-    [cache_dir] enables incremental mining: each workload's engine shard
-    is persisted there as [<workload>.snap] (see {!Daikon.Engine.save}),
-    keyed by a digest of the codec version, the
-    {!Daikon.Engine.semantics_version}, the {!Daikon.Config} fingerprint,
-    and the workload's program image, entry point and tick period — a
-    hit skips tracing entirely and goes straight to the merge;
-    a stale, corrupt or truncated entry is rejected and re-mined. The
-    full result (Figure 3 rows, coverage, invariant set) is additionally
-    cached as [mine-<key>.summary], so a fully warm run also skips
-    merging and extraction. Cached and uncached runs produce
-    bit-identical results; all writes are atomic (temp file + rename).
+    [cache_dir] enables incremental mining over a content-addressed
+    store: every entry is one file named [<kind>-<md5>] by its key, a
+    digest of the store format, codec version,
+    {!Daikon.Engine.semantics_version}, provenance marker,
+    {!Daikon.Config} fingerprint and input. Each workload's engine shard
+    is a [shard-] entry keyed by the workload's program image, entry
+    point and tick period — a hit skips tracing entirely and goes
+    straight to the merge; a missing or damaged entry is re-mined,
+    never raised. The full result (Figure 3 rows, coverage, invariant
+    set) is additionally a [summary-] entry, so a fully warm run also
+    skips merging and extraction. Runs that differ in config or
+    provenance keep separate entries, so alternating them never
+    re-mines. Cached and uncached runs produce bit-identical results;
+    all writes are atomic (temp file + rename).
 
     [provenance] (default false) turns on the flight recorder: the
     result carries a {!provenance_report} and shard snapshots embed the
-    death records (codec v2). The shard cache key folds in a provenance
+    death records (codec v2). The shard key folds in a provenance
     marker — provenance and provenance-free runs never adopt each
     other's shards — and the summary-level cache is bypassed, since a
     summary stores no provenance. The mined invariant set is identical
@@ -140,23 +143,23 @@ val mine_lake :
 
     [jobs] (default 1) shards the replay: the lake is cut into
     byte-balanced block spans ({!Trace.Segment.shard_spans}), each span
-    folds into its own engine on a domain pool with scratch decode and
-    block read-ahead, and the span engines merge back in span order —
+    folds into its own engine on a domain pool with scratch decode, and
+    the span engines merge back in span order —
     an exact join, so the result (rows, invariants, and the canonical
     SCIFSNAP engine bytes) is byte-identical for every [jobs >= 1]. A
     provenance replay always runs sequentially ([jobs] is ignored): the
     death ring is an eviction-lossy trace whose order is part of its
     meaning.
 
-    [cache_dir] enables a lake-level warm cache: the key digests the
-    codec and semantics versions, the config fingerprint and every
-    segment's per-block MD5 digests (read from the frame headers without
-    decoding payloads),
-    so appending a block or touching any segment re-mines. A warm hit
-    restores the full result from [lake-<key>.summary] and adopts the
-    engine persisted in [lake-<key>.snap] — bit-identical to the cold
-    fold, including the engine snapshot bytes. A provenance run bypasses
-    the lake cache (summaries store no provenance).
+    [cache_dir] enables a lake-level warm cache in the {!val-mine} store:
+    one [lake-] entry holds the full result and the lake's final engine,
+    keyed by the codec and semantics versions, the config fingerprint
+    and every segment's per-block MD5 digests (read from the frame
+    headers without decoding payloads), so appending a block or
+    touching any segment re-mines. A warm hit restores the result and
+    adopts the engine — bit-identical to the cold fold, including the
+    engine snapshot bytes. A provenance run bypasses the lake cache
+    (the entry stores no provenance).
     @raise Invalid_argument if [dir] holds no segments.
     @raise Trace.Segment.Corrupt_segment on a torn or damaged segment. *)
 
@@ -182,8 +185,8 @@ module Session : sig
       {!mine} rules: [jobs <= 1] with no cache streams every workload
       sequentially through the session engine — the paper's setup, and
       the byte-identity reference — while anything else mines
-      per-workload shards (hitting the shard cache) and merges them in
-      submission order. [jobs] also shards {!mine_lake} replays across
+      per-workload shards (hitting [shard-] entries of the cache store)
+      and merges them in submission order. [jobs] also shards {!mine_lake} replays across
       the same pool (see {!val-mine_lake}). *)
 
   type outcome = {
@@ -204,9 +207,9 @@ module Session : sig
 
   val mine_lake : t -> string -> mining
   (** Fold a lake directory into the session (see {!val-mine_lake}).
-      On a fresh session with a [cache_dir], a warm hit adopts the
-      cached engine whole; a cold fold on a fresh session populates the
-      cache. With [jobs > 1] (and no provenance) the cold fold runs the
+      On a fresh session with a [cache_dir], a warm hit on the [lake-]
+      entry adopts the cached engine whole; a cold fold on a fresh
+      session stores it. With [jobs > 1] (and no provenance) the cold fold runs the
       sharded parallel replay and merges the span engines into the
       session engine — byte-identical to the sequential fold, on fresh
       and non-fresh sessions alike, and the cache key ignores [jobs]

@@ -1038,19 +1038,21 @@ let invariants t =
 (* ---- Persistent snapshots ----
 
    Full engine state round-trips through a compact, versioned binary
-   codec: header (magic, codec version, caller key, payload digest),
-   then the payload — configuration, record count, and every program
-   point's candidate state in canonical (sorted) point order, so the
-   bytes are identical no matter what hash seed built the table.
+   codec: header (magic, codec version, an empty key field, payload
+   digest), then the payload — configuration, record count, and every
+   program point's candidate state in canonical (sorted) point order, so
+   the bytes are identical no matter what hash seed built the table.
 
-   The [key] is an opaque caller-chosen string (the pipeline digests the
-   workload image and trace setup into it); a snapshot whose key,
-   configuration or codec version does not match what the loader expects
-   is reported [Stale_snapshot], and any torn, truncated or bit-flipped
-   file fails the payload digest and is reported [Corrupt_snapshot] —
-   both are recoverable by re-mining. Writes go through
-   [Util.Binio.atomic_write], so a crashed or racing writer can never
-   publish a half-written snapshot. *)
+   The codec names no cache entry: the pipeline's cache store keys its
+   entries itself. The key field stays in the header, always empty, so
+   the bytes are those every earlier release wrote for an unkeyed
+   snapshot; a non-empty one marks a file from the old per-workload
+   cache. Such a file, or one whose configuration or codec version does
+   not match what the loader expects, is reported [Stale_snapshot]; any
+   torn, truncated or bit-flipped file fails the payload digest and is
+   reported [Corrupt_snapshot] — both are recoverable by re-mining.
+   Writes go through [Util.Binio.atomic_write], so a crashed or racing
+   writer can never publish a half-written snapshot. *)
 
 exception Corrupt_snapshot of string
 exception Stale_snapshot of string
@@ -1266,7 +1268,7 @@ let decode_prov r =
   load decode_witness (Hashtbl.replace p.births);
   p
 
-let encode ?(key = "") t =
+let encode t =
   let payload = Util.Binio.writer () in
   encode_config payload t.config;
   Util.Binio.write_uint payload t.nrecords;
@@ -1282,15 +1284,14 @@ let encode ?(key = "") t =
   let header = Util.Binio.writer () in
   Util.Binio.write_raw header snapshot_magic;
   Util.Binio.write_uint header version;
-  Util.Binio.write_string header key;
+  Util.Binio.write_string header "";
   Util.Binio.write_string header (Digest.string payload);
   Util.Binio.write_uint header (String.length payload);
   Util.Binio.contents header ^ payload
 
-let save ?key t path =
-  Util.Binio.atomic_write path (encode ?key t)
+let save t path = Util.Binio.atomic_write path (encode t)
 
-let decode ?(key = "") ?config data =
+let decode ?config data =
   let mlen = String.length snapshot_magic in
   if String.length data < mlen
   || not (String.equal (String.sub data 0 mlen) snapshot_magic) then
@@ -1302,11 +1303,8 @@ let decode ?(key = "") ?config data =
       raise (Stale_snapshot
                (Printf.sprintf "codec version %d, want 1..%d"
                   version codec_version));
-    (* Keys compare as plain strings with "" the default: loading a
-       keyed snapshot without presenting its key is itself stale — the
-       caller clearly is not validating what produced the state. *)
-    if not (String.equal (Util.Binio.read_string r) key) then
-      raise (Stale_snapshot "cache key mismatch");
+    if not (String.equal (Util.Binio.read_string r) "") then
+      raise (Stale_snapshot "keyed snapshot from the old shard cache");
     let digest = Util.Binio.read_string r in
     let plen = Util.Binio.read_uint r in
     let payload = Util.Binio.read_string_exact r plen in
@@ -1342,4 +1340,4 @@ let decode ?(key = "") ?config data =
   | exception Util.Binio.Truncated ->
     raise (Corrupt_snapshot "truncated snapshot")
 
-let load ?key ?config path = decode ?key ?config (Util.Binio.read_file path)
+let load ?config path = decode ?config (Util.Binio.read_file path)

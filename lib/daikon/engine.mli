@@ -143,8 +143,9 @@ exception Corrupt_snapshot of string
 (** The file is torn, truncated, or fails its payload digest. *)
 
 exception Stale_snapshot of string
-(** The file is well-formed but keyed by another codec version, cache
-    key, or configuration — re-mine rather than trust it. *)
+(** The file is well-formed but written by another codec version or
+    configuration, or it carries a cache key (a file from the old
+    per-workload shard cache) — re-mine rather than trust it. *)
 
 val codec_version : int
 (** The newest version {!decode} accepts (older ones stay readable).
@@ -163,24 +164,22 @@ val semantics_version : int
     next to the digest of the mined invariant text, so such a change
     shows up there. *)
 
-val save : ?key:string -> t -> string -> unit
+val save : t -> string -> unit
 (** Write atomically (temp file + rename): a crashed or concurrent run
-    can never leave a torn snapshot at the destination path. [key] is
-    an opaque caller cache key validated by {!load} (e.g. a digest of
-    whatever produced the observations). *)
+    can never leave a torn snapshot at the destination path. *)
 
-val load : ?key:string -> ?config:Config.t -> string -> t
+val load : ?config:Config.t -> string -> t
 (** @raise Corrupt_snapshot on damaged input.
-    @raise Stale_snapshot when codec version, [key] or [config] does
-    not match the snapshot. Keys compare as plain strings (default
-    [""]), so loading a keyed snapshot without presenting its key is
-    stale.
+    @raise Stale_snapshot when the codec version or [config] does not
+    match the snapshot, or the snapshot carries a cache key.
     @raise Sys_error when unreadable. *)
 
-val encode : ?key:string -> t -> string
-(** The raw snapshot bytes {!save} writes. *)
+val encode : t -> string
+(** The raw snapshot bytes {!save} writes. The header keeps an empty key
+    field, so these are the bytes earlier releases wrote for an unkeyed
+    snapshot. *)
 
-val decode : ?key:string -> ?config:Config.t -> string -> t
+val decode : ?config:Config.t -> string -> t
 (** Inverse of {!encode}; raises like {!load}. *)
 
 val scale_candidates : int array

@@ -250,24 +250,28 @@ let render ?(top = 5) ?(format = `Text) run =
       fams
   end;
 
-  (* Cache behaviour. *)
+  (* Cache behaviour: hits and misses per lookup kind; stale counts the
+     damaged entries among the misses, of any kind. *)
   let hit = counter run "mine.cache.hit"
   and miss = counter run "mine.cache.miss"
   and stale = counter run "mine.cache.stale"
   and shit = counter run "mine.cache.summary_hit"
   and smiss = counter run "mine.cache.summary_miss" in
-  if hit +. miss +. stale +. shit +. smiss > 0.0 then begin
+  if hit +. miss +. shit +. smiss > 0.0 then begin
     heading (if md then "Cache" else "cache:");
     line
-      (if md then "- shard: %.0f hit / %.0f miss / %.0f stale (%.1f%% hit)"
-       else "  shard   %.0f hit / %.0f miss / %.0f stale (%.1f%% hit)")
-      hit miss stale
-      (pct hit (hit +. miss +. stale));
+      (if md then "- shard: %.0f hit / %.0f miss (%.1f%% hit)"
+       else "  shard   %.0f hit / %.0f miss (%.1f%% hit)")
+      hit miss (pct hit (hit +. miss));
     line
       (if md then "- summary: %.0f hit / %.0f miss (%.1f%% hit)"
        else "  summary %.0f hit / %.0f miss (%.1f%% hit)")
       shit smiss
-      (pct shit (shit +. smiss))
+      (pct shit (shit +. smiss));
+    line
+      (if md then "- stale: %.0f damaged entries re-mined"
+       else "  stale   %.0f damaged entries re-mined")
+      stale
   end;
 
   (* Slowest shards, by workload attr. *)

@@ -253,13 +253,8 @@ let stream ?(config = default_config) ?(fault = Cpu.Fault.none)
   run ~config ~observer machine
 
 (* Segment-writer observer: every fused record goes straight from the
-   fold into the open segment writer (and optionally to [tee], so a
-   miner can consume the trace while it is being recorded) — no
-   materialization on the write side either. *)
-let stream_to_segment ?config ?fault ?tick_period ~entry ~writer
-    ?(tee = fun (_ : Record.t) -> ()) image =
-  stream ?config ?fault ?tick_period ~entry
-    ~observer:(fun r ->
-        Segment.add writer r;
-        tee r)
+   fold into the open segment writer — no materialization on the write
+   side either. *)
+let stream_to_segment ?config ?fault ?tick_period ~entry ~writer image =
+  stream ?config ?fault ?tick_period ~entry ~observer:(Segment.add writer)
     image

@@ -42,10 +42,8 @@ val stream :
 
 val stream_to_segment :
   ?config:config -> ?fault:Cpu.Fault.t -> ?tick_period:int ->
-  entry:int -> writer:Segment.writer -> ?tee:(Record.t -> unit) ->
-  (int * int) list -> outcome
+  entry:int -> writer:Segment.writer -> (int * int) list -> outcome
 (** {!stream} with the segment writer as observer: each fused record is
-    appended to [writer] the moment it is built (and also passed to
-    [tee], default a no-op), so recording a trace lake materialises
-    nothing beyond the writer's one buffered block. The caller closes
-    [writer]. *)
+    appended to [writer] the moment it is built, so recording a trace
+    lake materialises nothing beyond the writer's one buffered block.
+    The caller closes [writer]. *)

@@ -330,13 +330,11 @@ let with_writer ?records_per_block ~workload path f =
 
 (* ---- reading ---- *)
 
-(* One framed block from the channel: [None] at a clean end of file,
-   [Corrupt_segment] on a torn one. The first byte is read separately so
-   EOF exactly on a block boundary is distinguishable from a tail that
-   dies mid-header. Pure I/O plus framing — the digest is NOT verified
-   here, so a read-ahead domain can pull frames off disk while the
-   consuming domain checks and decodes them. *)
-let input_frame ic =
+(* One verified block payload from the channel: [None] at a clean end
+   of file, [Corrupt_segment] on a torn one or a digest mismatch. The
+   first byte is read separately so EOF exactly on a block boundary is
+   distinguishable from a tail that dies mid-header. *)
+let input_payload ic =
   match input_char ic with
   | exception End_of_file -> None
   | c0 ->
@@ -348,7 +346,7 @@ let input_frame ic =
       try really_input_string ic len
       with End_of_file -> corrupt "torn block payload"
     in
-    Some (digest, payload)
+    Some (verify_frame (digest, payload))
 
 (* Reusable decode buffers. A fresh decode allocates one [Var.total]
    int row per record per block; across a multi-GB replay that is the
@@ -467,80 +465,6 @@ type info = {
   workloads : string list;  (* distinct, in first-appearance order *)
 }
 
-(* Double-buffered read-ahead: a reader domain pulls frames off disk
-   ([input_frame] — pure I/O) into a bounded two-slot queue while the
-   consuming domain digest-checks and decodes the previous one, so the
-   fold is never stalled on the disk and never more than two undecoded
-   frames sit in memory. Reader-side exceptions (a torn tail) are
-   carried across and re-raised at the consumer's next take, preserving
-   the sequential error surface. *)
-let read_frames_prefetched ic ~budget consume =
-  let m = Mutex.create () in
-  let nonempty = Condition.create () in
-  let nonfull = Condition.create () in
-  let q : (string * string) Queue.t = Queue.create () in
-  let cap = 2 in
-  let state = ref `Running in
-  let abort = ref false in
-  let producer () =
-    let push fr =
-      Mutex.lock m;
-      while Queue.length q >= cap && not !abort do
-        Condition.wait nonfull m
-      done;
-      let keep = not !abort in
-      if keep then begin
-        Queue.push fr q;
-        Condition.signal nonempty
-      end;
-      Mutex.unlock m;
-      keep
-    in
-    let rec go n =
-      if n > 0 then
-        match input_frame ic with
-        | None -> ()
-        | Some fr -> if push fr then go (n - 1)
-    in
-    let final = try go budget; `Eof with e -> `Err e in
-    Mutex.lock m;
-    (match !state with `Running -> state := final | _ -> ());
-    Condition.signal nonempty;
-    Mutex.unlock m
-  in
-  let dom = Domain.spawn producer in
-  Fun.protect
-    ~finally:(fun () ->
-        Mutex.lock m;
-        abort := true;
-        Condition.broadcast nonfull;
-        Mutex.unlock m;
-        Domain.join dom)
-    (fun () ->
-       let processed = ref 0 in
-       let finished = ref false in
-       while (not !finished) && !processed < budget do
-         Mutex.lock m;
-         while
-           Queue.is_empty q
-           && match !state with `Running -> true | _ -> false
-         do
-           Condition.wait nonempty m
-         done;
-         let item = if Queue.is_empty q then None else Some (Queue.pop q) in
-         let st = !state in
-         if item <> None then Condition.signal nonfull;
-         Mutex.unlock m;
-         match item with
-         | Some fr ->
-           consume fr;
-           incr processed
-         | None ->
-           (match st with
-            | `Err e -> raise e
-            | `Eof | `Running -> finished := true)
-       done)
-
 (* Stream the half-open block range [first_block, last_block) of the
    segment at [path] through [f]. Pre-range frames are seeked over with
    framing checks only (like {!block_digests}); decoding — and digest
@@ -548,8 +472,8 @@ let read_frames_prefetched ic ~budget consume =
    (deltas reset at block boundaries), so a range fold decodes exactly
    what a whole-file fold decodes for those blocks, which is what makes
    block-granular sharding of a replay exact. *)
-let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
-    ?scratch ?(first_block = 0) ?(last_block = max_int) ~init ~f path =
+let fold_range ?(on_workload = fun (_ : string) -> ()) ?scratch
+    ?(first_block = 0) ?(last_block = max_int) ~init ~f path =
   if first_block < 0 || last_block < first_block then
     invalid_arg "Segment.fold_range: invalid block range";
   let ic = open_in_bin path in
@@ -566,36 +490,29 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
        let bytes = ref 0 in
        let workloads = ref [] in
        let previous = ref None in
-       let consume (_, payload as frame) =
-         let payload_len = String.length payload in
-         ignore (verify_frame frame : string);
-         let workload, batch = decode_payload ?scratch payload in
-         if not (List.mem workload !workloads) then
-           workloads := workload :: !workloads;
-         (* Once per run of same-workload blocks, not per block: a miner
-            resets its per-workload record ordinal here. *)
-         if !previous <> Some workload then begin
-           previous := Some workload;
-           on_workload workload
-         end;
-         Array.iter (fun r -> acc := f !acc r) batch;
-         records := !records + Array.length batch;
-         blocks := !blocks + 1;
-         bytes := !bytes + header_len + payload_len;
-         Obs.Metrics.incr c_blocks_read;
-         Obs.Metrics.add c_records_read (Array.length batch)
-       in
-       let budget = last_block - first_block in
-       if skipped = first_block && budget > 0 then
-         if read_ahead then read_frames_prefetched ic ~budget consume
-         else begin
-           let continue = ref true in
-           while !continue && !blocks < budget do
-             match input_frame ic with
-             | None -> continue := false
-             | Some frame -> consume frame
-           done
-         end;
+       if skipped = first_block then begin
+         let continue = ref true in
+         while !continue && !blocks < last_block - first_block do
+           match input_payload ic with
+           | None -> continue := false
+           | Some payload ->
+             let workload, batch = decode_payload ?scratch payload in
+             if not (List.mem workload !workloads) then
+               workloads := workload :: !workloads;
+             (* Once per run of same-workload blocks, not per block: a
+                miner resets its per-workload record ordinal here. *)
+             if !previous <> Some workload then begin
+               previous := Some workload;
+               on_workload workload
+             end;
+             Array.iter (fun r -> acc := f !acc r) batch;
+             records := !records + Array.length batch;
+             blocks := !blocks + 1;
+             bytes := !bytes + header_len + String.length payload;
+             Obs.Metrics.incr c_blocks_read;
+             Obs.Metrics.add c_records_read (Array.length batch)
+         done
+       end;
        ( !acc,
          {
            records = !records;
@@ -604,8 +521,8 @@ let fold_range ?(on_workload = fun (_ : string) -> ()) ?(read_ahead = false)
            workloads = List.rev !workloads;
          } ))
 
-let fold ?on_workload ?read_ahead ?scratch ~init ~f path =
-  let acc, info = fold_range ?on_workload ?read_ahead ?scratch ~init ~f path in
+let fold ?on_workload ?scratch ~init ~f path =
+  let acc, info = fold_range ?on_workload ?scratch ~init ~f path in
   if info.blocks = 0 then corrupt "empty segment file";
   (acc, info)
 

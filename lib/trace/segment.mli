@@ -77,7 +77,6 @@ val scratch : unit -> scratch
 
 val fold :
   ?on_workload:(string -> unit) ->
-  ?read_ahead:bool ->
   ?scratch:scratch ->
   init:'a -> f:('a -> Record.t -> 'a) -> string -> 'a * info
 (** Stream every record of the segment at [path] through [f], one block
@@ -87,15 +86,12 @@ val fold :
     so death attribution (record ordinals within a workload) matches a
     live run. The limit: two appended runs of one workload back to back
     in a segment read as a single run. An empty or damaged file
-    raises {!Corrupt_segment}. [read_ahead] (default false) reads the
-    next frame off disk on a helper domain while the current block
-    decodes; [scratch] recycles decode buffers (see {!scratch} for the
-    aliasing contract). Neither changes the records seen, their order,
-    or the error surface. *)
+    raises {!Corrupt_segment}. [scratch] recycles decode buffers (see
+    {!scratch} for the aliasing contract); it changes neither the
+    records seen, their order, nor the error surface. *)
 
 val fold_range :
   ?on_workload:(string -> unit) ->
-  ?read_ahead:bool ->
   ?scratch:scratch ->
   ?first_block:int ->
   ?last_block:int ->

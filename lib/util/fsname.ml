@@ -1,13 +1,12 @@
-(* Workload names key on-disk artifacts (snapshot-cache shards, trace
-   lake segments), and registered or fuzz-generated names are
-   unconstrained strings: '/' walks out of the cache directory, ".."
-   climbs it, NUL truncates the path. Percent-encoding everything
-   outside a conservative safe set keeps typical names ("basicmath",
-   "fuzz-0017") readable byte-for-byte while making every name a single
-   path component.
+(* Workload names name on-disk artifacts (trace lake segments), and
+   registered or fuzz-generated names are unconstrained strings: '/'
+   walks out of the lake directory, ".." climbs it, NUL truncates the
+   path. Percent-encoding everything outside a conservative safe set
+   keeps typical names ("basicmath", "fuzz-0017") readable byte-for-byte
+   while making every name a single path component.
 
    The encoding is injective ('%' itself is escaped), so distinct
-   workload names can never collide on one cache file. *)
+   workload names can never collide on one segment file. *)
 
 let safe c =
   (c >= 'a' && c <= 'z')

@@ -1,9 +1,8 @@
 (** Injective percent-encoding of arbitrary workload names into single
-    filesystem path components, for the on-disk artifacts they key
-    (snapshot-cache shards, trace-lake segments). A hostile name —
-    ["../../etc/passwd"], a name with ['/'] or NUL — encodes to a plain
-    component that cannot escape its directory; typical alphanumeric
-    names pass through unchanged. *)
+    filesystem path components, for the on-disk artifacts they name
+    (trace-lake segments). A hostile name — ["../../etc/passwd"], a name
+    with ['/'] or NUL — encodes to a plain component that cannot escape
+    its directory; typical alphanumeric names pass through unchanged. *)
 
 val encode : string -> string
 (** Every byte outside [[A-Za-z0-9_-]] (including ['%'], ['.'] and

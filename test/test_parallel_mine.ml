@@ -6,12 +6,13 @@
 
    [test_parallel_mine.exe golden] prints the sequential run instead:
    dune diffs that against [phase1.golden], which pins phase 1 exactly.
-   [test_parallel_mine.exe pipeline] prints Tables 2 and 3 and the
-   seed-42 campaign over that run, diffed against [pipeline.golden].
-   An intended change is reviewed as that diff and accepted with
-   [dune promote]. *)
+   [test_parallel_mine.exe pipeline] prints Tables 2 and 3, the seed-42
+   campaign and phase 4 (the CV table, Tables 4-7 and §5.6) over that
+   run, diffed against [pipeline.golden]. An intended change is
+   reviewed as that diff and accepted with [dune promote]. *)
 
 module Pipeline = Scifinder_core.Pipeline
+module Experiments = Scifinder_core.Experiments
 module Expr = Invariant.Expr
 
 (* ---- Util.Parallel ---- *)
@@ -115,8 +116,116 @@ let print_provenance_golden () =
          (Daikon.Engine.death_families (Daikon.Engine.decode bytes)))
     [ 1; 2 ]
 
-(* Phases 2-4, pinned: Table 2's stages, Table 3 per bug and the
-   seed-42 campaign over the unique SCI, all from the sequential run. *)
+(* [Pipeline.infer]'s default seed: it drives the class balance, the
+   70/30 split and the cross-validation folds. *)
+let infer_seed = 20170408
+
+(* [Pipeline.infer]'s labeled training matrix, rebuilt the way it
+   builds it, so the CV table it chooses lambda from can be printed
+   ([infer] does not return it). *)
+let training_matrix ~optimized (summary : Sci.Identify.summary) =
+  let space = Invariant.Feature.build_space optimized in
+  let sci = summary.Sci.Identify.unique_sci in
+  let rng = Util.Prng.create infer_seed in
+  let non_arr = Array.of_list summary.Sci.Identify.unique_fp in
+  Util.Prng.shuffle rng non_arr;
+  let n_non = min (Array.length non_arr) (List.length sci) in
+  let non_sci = Array.to_list (Array.sub non_arr 0 (max 1 n_non)) in
+  let labeled =
+    Array.of_list
+      (List.map (fun i -> (i, 0.0)) sci @ List.map (fun i -> (i, 1.0)) non_sci)
+  in
+  Util.Prng.shuffle rng labeled;
+  let train = Array.sub labeled 0 (max 2 (Array.length labeled * 7 / 10)) in
+  ( Ml.Matrix.of_rows
+      (Array.to_list
+         (Array.map (fun (i, _) -> Invariant.Feature.vector space i) train)),
+    Array.map snd train )
+
+(* Phase 4, pinned: the CV table and the chosen model (Table 4), the
+   recommendations (Table 5), property coverage (Tables 6 and 7) and
+   unknown-bug detection (§5.6). Floats print at full precision, Table 4
+   weights at the 3 decimals the paper reports. *)
+let print_inference_golden ~optimized (summary : Sci.Identify.summary) =
+  print_endline
+    "# Phase 4: Pipeline.infer over the optimized set and Table 3's labels.";
+  let inf = Pipeline.infer ~all_invariants:optimized summary in
+  let x, y = training_matrix ~optimized summary in
+  let _, _, table =
+    Ml.Logreg.cross_validate ~alpha:0.5 ~folds:3 ~seed:infer_seed x y
+  in
+  List.iter
+    (fun (lambda, acc) ->
+       Printf.printf "cv lambda=%.17g accuracy=%.17g\n" lambda acc)
+    table;
+  Printf.printf "cv chosen lambda=%.17g accuracy=%.17g in table %b\n"
+    inf.Pipeline.chosen_lambda inf.Pipeline.cv_accuracy
+    (List.mem (inf.Pipeline.chosen_lambda, inf.Pipeline.cv_accuracy) table);
+  Printf.printf "test accuracy %.17g\n" inf.Pipeline.test_accuracy;
+  Printf.printf "table4 %d of %d features\n"
+    (List.length inf.Pipeline.selected_features)
+    (Invariant.Feature.dimension inf.Pipeline.space);
+  List.iter
+    (fun (name, beta) -> Printf.printf "table4 %s %+.3f\n" name beta)
+    inf.Pipeline.selected_features;
+  Printf.printf "table5 unlabeled=%d recommended=%d fp=%d surviving=%d \
+                 properties=%d\n"
+    (List.length optimized - inf.Pipeline.labeled_sci
+     - inf.Pipeline.labeled_non_sci)
+    (List.length inf.Pipeline.recommended)
+    (List.length inf.Pipeline.inferred_fp)
+    (List.length inf.Pipeline.surviving)
+    inf.Pipeline.property_count;
+  Printf.printf "table5 recommended md5 %s\n"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n"
+             (List.sort compare
+                (List.map Invariant.Expr.canonical inf.Pipeline.recommended)))));
+  let prior, fresh =
+    List.partition
+      (fun (c : Properties.Catalog.coverage) ->
+         c.property.Properties.Catalog.origin
+         <> Properties.Catalog.New_property)
+      (Experiments.property_coverage summary inf)
+  in
+  let count p = List.length (List.filter p prior) in
+  let in_scope (c : Properties.Catalog.coverage) =
+    Properties.Catalog.in_scope c.property
+  in
+  Printf.printf "table6 identification=%d inference=%d in-scope found=%d/%d\n"
+    (count (fun c -> c.Properties.Catalog.from_identification))
+    (count (fun c ->
+         c.Properties.Catalog.from_inference
+         && not c.Properties.Catalog.from_identification))
+    (count (fun c ->
+         in_scope c
+         && (c.Properties.Catalog.from_identification
+             || c.Properties.Catalog.from_inference)))
+    (count in_scope);
+  List.iter
+    (fun (c : Properties.Catalog.coverage) ->
+       Printf.printf "table7 %s ident=[%s] infer=%b\n"
+         c.property.Properties.Catalog.id
+         (String.concat " " c.found_by_bugs)
+         c.from_inference)
+    fresh;
+  let held_out =
+    Experiments.holdout ~identified_sci:summary.Sci.Identify.unique_sci
+      ~inferred_sci:inf.Pipeline.surviving Bugs.Amd_errata.all
+  in
+  Printf.printf "sec56 held out detected %d/%d\n"
+    (List.length
+       (List.filter (fun r -> r.Experiments.detected) held_out))
+    (List.length held_out);
+  let split = Experiments.random_split ~invariants:optimized () in
+  Printf.printf "sec56 re-split detected %d/%d\n"
+    split.Experiments.detected_count
+    (List.length split.Experiments.reports)
+
+(* Phases 2-4, pinned: Table 2's stages, Table 3 per bug, the seed-42
+   campaign over the unique SCI and phase 4, all from the sequential
+   run. *)
 let print_pipeline_golden () =
   print_endline
     "# Tables 2 and 3 and the seed-42 campaign over Pipeline.mine ~jobs:1.";
@@ -153,7 +262,9 @@ let print_pipeline_golden () =
   Printf.printf "campaign seed=42 mutants=200 fingerprint %s\n"
     camp.Pipeline.fingerprint;
   Printf.printf "campaign detected %d/%d\n" camp.Pipeline.detected_total
-    camp.Pipeline.mutant_total
+    camp.Pipeline.mutant_total;
+  print_inference_golden
+    ~optimized:o.Pipeline.result.Invopt.Pipeline.optimized summary
 
 let () =
   match Array.to_list Sys.argv with

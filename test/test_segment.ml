@@ -429,31 +429,24 @@ let test_fold_range_empty_and_single_block () =
       Alcotest.(check int) "single block range bytes" finfo.Segment.bytes
         rinfo.Segment.bytes)
 
-let test_read_ahead_and_scratch_equal () =
+let test_scratch_equal () =
   with_tmp_dir (fun dir ->
       let w = workload "bitcount" in
       let path = Filename.concat dir "w.seg" in
       record ~records_per_block:16 w path;
-      let digest ?read_ahead ?scratch () =
+      let digest ?scratch () =
         let engine = Engine.create () in
         let (), info =
-          Segment.fold ?read_ahead ?scratch ~init:()
+          Segment.fold ?scratch ~init:()
             ~f:(fun () r -> Engine.observe engine r) path
         in
         (Engine.encode engine, info)
       in
       let base, binfo = digest () in
-      let ahead, ainfo = digest ~read_ahead:true () in
       let scr, sinfo = digest ~scratch:(Segment.scratch ()) () in
-      let both, _ =
-        digest ~read_ahead:true ~scratch:(Segment.scratch ()) ()
-      in
-      Alcotest.(check bool) "read-ahead identical" true (String.equal base ahead);
       Alcotest.(check bool) "scratch identical" true (String.equal base scr);
-      Alcotest.(check bool) "read-ahead + scratch identical" true
-        (String.equal base both);
       Alcotest.(check int) "infos agree" binfo.Segment.records
-        (min ainfo.Segment.records sinfo.Segment.records);
+        sinfo.Segment.records;
       (* One scratch reused across segments must not leak state. *)
       let scratch = Segment.scratch () in
       let e2 = Engine.create () in
@@ -465,16 +458,7 @@ let test_read_ahead_and_scratch_equal () =
       fold_into ();
       fold_into ();
       Alcotest.(check bool) "scratch reuse == append semantics" true
-        (String.equal (Engine.encode (mine_live [ w; w ])) (Engine.encode e2));
-      (* The error surface survives the helper domain: a torn tail read
-         with read-ahead still raises Corrupt_segment. *)
-      let bytes = Util.Binio.read_file path in
-      let torn = Filename.concat dir "torn.seg" in
-      let oc = open_out_bin torn in
-      output_string oc (String.sub bytes 0 (String.length bytes - 3));
-      close_out oc;
-      expect_corrupt "torn tail under read-ahead" (fun () ->
-          Segment.fold ~read_ahead:true ~init:0 ~f:(fun n _ -> n + 1) torn))
+        (String.equal (Engine.encode (mine_live [ w; w ])) (Engine.encode e2)))
 
 let prop_shard_spans_partition =
   qtest ~count:30 "shard_spans partitions every block of every segment"
@@ -637,8 +621,8 @@ let () =
            `Quick test_fold_range_partition_exact;
          Alcotest.test_case "empty segment and single block" `Quick
            test_fold_range_empty_and_single_block;
-         Alcotest.test_case "read-ahead and scratch change nothing" `Quick
-           test_read_ahead_and_scratch_equal;
+         Alcotest.test_case "scratch changes nothing" `Quick
+           test_scratch_equal;
          prop_shard_spans_partition;
          prop_parallel_lake_identical;
          Alcotest.test_case "more jobs than blocks" `Quick

@@ -1,9 +1,10 @@
 (* Engine snapshot persistence: save -> load must give an observationally
    identical engine (same invariants, stats, and behaviour under further
    observation or merging), damaged files must be rejected as corrupt,
-   and mismatched key/config/version as stale. On top of that sits the
-   pipeline's shard cache: warm mining over a cache directory must be
-   bit-identical to cold mining. *)
+   and mismatched config/version (or a keyed file from the old shard
+   cache) as stale. On top of that sits the pipeline's cache store:
+   warm mining over a cache directory must be bit-identical to cold
+   mining, whatever entry kind serves it. *)
 
 module Engine = Daikon.Engine
 module Expr = Invariant.Expr
@@ -67,9 +68,8 @@ let test_save_load_file () =
   Fun.protect ~finally:(fun () -> Sys.remove path)
     (fun () ->
        let e = mined "helloworld" in
-       Engine.save ~key:"k1" e path;
-       check_observationally_equal "load (save e)" e
-         (Engine.load ~key:"k1" path))
+       Engine.save e path;
+       check_observationally_equal "load (save e)" e (Engine.load path))
 
 (* ---- rejection ---- *)
 
@@ -99,20 +99,26 @@ let test_corrupt () =
 
 let test_stale () =
   let e = mined "pi" in
-  let data = Engine.encode ~key:"the-key" e in
-  expect_stale "wrong key" (fun () -> Engine.decode ~key:"other-key" data);
-  expect_stale "missing key" (fun () -> Engine.decode data);
+  let data = Engine.encode e in
   expect_stale "wrong config" (fun () ->
-      Engine.decode ~key:"the-key"
+      Engine.decode
         ~config:{ Daikon.Config.default with min_samples = 7 } data);
   (* Bump the codec version byte (it sits right after the 8-byte magic
      as a one-byte varint while codec_version < 0x80). *)
   let bumped = Bytes.of_string data in
   Bytes.set bumped 8 (Char.chr (Engine.codec_version + 1));
   expect_stale "future codec version" (fun () ->
-      Engine.decode ~key:"the-key" (Bytes.to_string bumped))
+      Engine.decode (Bytes.to_string bumped));
+  (* The empty key field follows the version byte; the old shard cache
+     wrote a key there, and such a file is stale. *)
+  Alcotest.(check char) "empty key field" '\000' data.[9];
+  let keyed =
+    String.sub data 0 9 ^ "\003old"
+    ^ String.sub data 10 (String.length data - 10)
+  in
+  expect_stale "keyed file from the old cache" (fun () -> Engine.decode keyed)
 
-(* ---- the pipeline shard cache ---- *)
+(* ---- the pipeline cache store ---- *)
 
 let with_cache_dir f =
   let dir = Filename.temp_file "scifinder_cache" "" in
@@ -128,6 +134,36 @@ let with_cache_dir f =
 
 let names = [ "pi"; "helloworld" ]
 
+let counter name = Obs.Metrics.counter_value (Obs.Metrics.counter name)
+
+let summary_hits () = counter "mine.cache.summary_hit"
+
+let lake_session_digest ?cache_dir dir =
+  let s = Pipeline.Session.create ?cache_dir () in
+  ignore (Pipeline.Session.mine_lake s dir);
+  Pipeline.Session.engine_digest s
+
+(* The cache's entries of one kind, in name order. *)
+let entries dir kind =
+  List.filter
+    (fun n -> String.starts_with ~prefix:(kind ^ "-") n)
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+(* Damage an entry in place: cut it in half, or flip its last byte. *)
+let truncate path =
+  let len = (Unix.stat path).Unix.st_size in
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
+  Unix.ftruncate fd (len / 2);
+  Unix.close fd
+
+let flip_last_byte path =
+  let b = Bytes.of_string (Util.Binio.read_file path) in
+  let i = Bytes.length b - 1 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+  let oc = open_out_bin path in
+  output_bytes oc b;
+  close_out oc
+
 let test_cache_warm_equals_cold () =
   with_cache_dir (fun dir ->
       let uncached = Pipeline.mine_invariants ~jobs:1 ~names () in
@@ -136,8 +172,8 @@ let test_cache_warm_equals_cold () =
       let s = List.map Expr.to_string in
       Alcotest.(check (list string)) "cold equals uncached" (s uncached) (s cold);
       Alcotest.(check (list string)) "warm equals cold" (s cold) (s warm);
-      Alcotest.(check bool) "shards on disk" true
-        (Sys.file_exists (Filename.concat dir "pi.snap")))
+      Alcotest.(check int) "one shard entry per workload" (List.length names)
+        (List.length (entries dir "shard")))
 
 let test_cache_full_mine () =
   with_cache_dir (fun dir ->
@@ -153,19 +189,76 @@ let test_cache_full_mine () =
       Alcotest.(check int) "records"
         cold.Pipeline.record_count warm.Pipeline.record_count)
 
+(* Every entry kind, truncated or bit-flipped, is rejected as stale,
+   re-mined, and the run equals an uncached one. *)
 let test_cache_rejects_damage () =
+  let s = List.map Expr.to_string in
+  let groups = [ [ "pi" ]; [ "helloworld" ] ] and labels = names in
+  let uncached_shards = s (Pipeline.mine_invariants ~jobs:1 ~names ()) in
+  let uncached_mine = Pipeline.mine ~jobs:1 ~groups ~labels () in
+  List.iter
+    (fun (how, damage) ->
+       let damaged dir kind run =
+         ignore (run ());
+         let stale = counter "mine.cache.stale" in
+         damage (Filename.concat dir (List.hd (entries dir kind)));
+         let again = run () in
+         Alcotest.(check int) (how ^ " " ^ kind ^ " counted stale")
+           (stale + 1) (counter "mine.cache.stale");
+         again
+       in
+       with_cache_dir (fun dir ->
+           Alcotest.(check (list string)) (how ^ " shard re-mined")
+             uncached_shards
+             (s (damaged dir "shard" (fun () ->
+                  Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names ()))));
+       with_cache_dir (fun dir ->
+           let m =
+             damaged dir "summary" (fun () ->
+                 Pipeline.mine ~jobs:1 ~groups ~labels ~cache_dir:dir ())
+           in
+           Alcotest.(check (list string)) (how ^ " summary re-mined")
+             (s uncached_mine.Pipeline.invariants) (s m.Pipeline.invariants);
+           Alcotest.(check bool) (how ^ " summary rows") true
+             (uncached_mine.Pipeline.figure3 = m.Pipeline.figure3
+              && uncached_mine.Pipeline.record_count = m.Pipeline.record_count));
+       with_cache_dir (fun lake ->
+           with_cache_dir (fun cache ->
+               ignore (Pipeline.record_lake ~names ~dir:lake ());
+               Alcotest.(check string) (how ^ " lake re-mined")
+                 (lake_session_digest lake)
+                 (damaged cache "lake" (fun () ->
+                      lake_session_digest ~cache_dir:cache lake)))))
+    [ ("truncated", truncate); ("bit-flipped", flip_last_byte) ]
+
+(* Runs that differ in provenance or config name different entries, so
+   after one run of each, every further run of any of them hits every
+   shard: nothing re-mines, nothing is overwritten. *)
+let test_cache_keeps_every_run () =
   with_cache_dir (fun dir ->
-      let cold = Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names () in
-      (* Truncate one shard: the next run must silently re-mine it. *)
-      let victim = Filename.concat dir "pi.snap" in
-      let len = (Unix.stat victim).Unix.st_size in
-      let fd = Unix.openfile victim [ Unix.O_WRONLY ] 0o644 in
-      Unix.ftruncate fd (len / 2);
-      Unix.close fd;
-      let again = Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names () in
-      let s = List.map Expr.to_string in
-      Alcotest.(check (list string)) "re-mined after truncation"
-        (s cold) (s again))
+      let tight = { Daikon.Config.default with min_samples = 500 } in
+      let plain () = Pipeline.mine_invariants ~jobs:1 ~cache_dir:dir ~names ()
+      and prov () =
+        Pipeline.mine_invariants ~jobs:1 ~provenance:true ~cache_dir:dir
+          ~names ()
+      and other () =
+        Pipeline.mine_invariants ~config:tight ~jobs:1 ~cache_dir:dir ~names ()
+      in
+      List.iter (fun run -> ignore (run ())) [ plain; prov; other ];
+      List.iter
+        (fun (label, run) ->
+           let hit = counter "mine.cache.hit"
+           and miss = counter "mine.cache.miss"
+           and stale = counter "mine.cache.stale" in
+           ignore (run ());
+           Alcotest.(check (list int)) (label ^ ": hit/miss/stale")
+             [ List.length names; 0; 0 ]
+             [ counter "mine.cache.hit" - hit;
+               counter "mine.cache.miss" - miss;
+               counter "mine.cache.stale" - stale ])
+        [ ("plain", plain); ("provenance", prov); ("plain again", plain);
+          ("second config", other); ("provenance again", prov);
+          ("second config again", other) ])
 
 let test_cache_stale_config () =
   with_cache_dir (fun dir ->
@@ -185,8 +278,9 @@ let test_cache_stale_config () =
 let test_cache_slash_named_workload () =
   with_cache_dir (fun dir ->
       (* A registered/fuzz workload is free to carry '/' or '..' in its
-         name; its shard must cache INSIDE the cache dir (percent-encoded
-         filename) and reload from there, never escape. *)
+         name; its shard must cache INSIDE the cache dir (entries are
+         named by their key, never by the workload) and reload from
+         there, never escape. *)
       let base = Option.get (Workloads.Suite.by_name "helloworld") in
       let evil = { base with Workloads.Rt.name = "../escapee/x" } in
       let groups = [ [ evil.Workloads.Rt.name ] ] and labels = [ "evil" ] in
@@ -195,12 +289,8 @@ let test_cache_slash_named_workload () =
           ~cache_dir:dir ()
       in
       let cold = mine () in
-      let shard =
-        Filename.concat dir
-          (Util.Fsname.encode evil.Workloads.Rt.name ^ ".snap")
-      in
-      Alcotest.(check bool) "shard cached inside the cache dir" true
-        (Sys.file_exists shard);
+      Alcotest.(check int) "shard cached inside the cache dir" 1
+        (List.length (entries dir "shard"));
       Alcotest.(check bool) "nothing escaped the cache dir" false
         (Sys.file_exists
            (Filename.concat (Filename.dirname dir) "escapee"));
@@ -217,14 +307,6 @@ let test_cache_slash_named_workload () =
    BLOCK digests (Segment.block_digests), so a warm hit is provably
    bound to the lake's bytes: byte-identical engine on a hit, and any
    appended or altered block changes the key and re-mines. *)
-
-let summary_hits () =
-  Obs.Metrics.counter_value (Obs.Metrics.counter "mine.cache.summary_hit")
-
-let lake_session_digest ?cache_dir dir =
-  let s = Pipeline.Session.create ?cache_dir () in
-  ignore (Pipeline.Session.mine_lake s dir);
-  Pipeline.Session.engine_digest s
 
 let test_lake_cache_warm_equals_cold () =
   with_cache_dir (fun lake ->
@@ -246,7 +328,19 @@ let test_lake_cache_warm_equals_cold () =
           Alcotest.(check int) "trace bytes"
             cold.Pipeline.trace_bytes warm.Pipeline.trace_bytes;
           Alcotest.(check string) "warm engine bytes == uncached sequential"
-            reference (lake_session_digest ~cache_dir:cache lake)))
+            reference (lake_session_digest ~cache_dir:cache lake);
+          (* One file per lake result, named by its key. *)
+          Alcotest.(check int) "one lake entry" 1
+            (List.length (entries cache "lake"));
+          Alcotest.(check bool) "every entry is <kind>-<md5>" true
+            (Array.for_all
+               (fun n ->
+                  match String.index_opt n '-' with
+                  | Some i ->
+                    List.mem (String.sub n 0 i) [ "shard"; "summary"; "lake" ]
+                    && String.length n - i - 1 = 32
+                  | None -> false)
+               (Sys.readdir cache))))
 
 let test_lake_cache_append_invalidates () =
   with_cache_dir (fun lake ->
@@ -279,6 +373,8 @@ let () =
        [ Alcotest.test_case "warm equals cold" `Quick test_cache_warm_equals_cold;
          Alcotest.test_case "full mine summary" `Quick test_cache_full_mine;
          Alcotest.test_case "damage re-mined" `Quick test_cache_rejects_damage;
+         Alcotest.test_case "differing runs keep their shards" `Quick
+           test_cache_keeps_every_run;
          Alcotest.test_case "config fingerprint" `Quick test_cache_stale_config;
          Alcotest.test_case "slash-named workload contained" `Quick
            test_cache_slash_named_workload ]);
