@@ -1001,13 +1001,15 @@ let lakebench () =
       (Daikon.Engine.encode (replay_engine scaled))
   in
   (* Lane B: the same drain, out of the scaled lake, one block in
-     memory at a time. *)
+     memory at a time, each segment decoding into a reused scratch
+     buffer as the mining replay does. *)
   let drain_lake () =
     List.fold_left
       (fun n path ->
          let count = ref 0 in
          ignore
-           (Trace.Segment.fold ~init:() ~f:(fun () _ -> incr count) path);
+           (Trace.Segment.fold ~scratch:(Trace.Segment.scratch ()) ~init:()
+              ~f:(fun () _ -> incr count) path);
          n + !count)
       0 (Trace.Segment.lake_segments scaled)
   in

@@ -52,6 +52,18 @@ dune exec bin/scifinder.exe -- report "$T/identify.jsonl" \
   | tee "$T/identify_report.out"
 grep -q 'pipeline.optimize' "$T/identify_report.out"
 grep -q 'pipeline.identify' "$T/identify_report.out"
+# Campaign CLI smoke: the seed-42, 200-mutant campaign (one reset machine,
+# streamed runs stopped at the first firing) prints the pinned detection
+# count and fingerprint, and its telemetry stream validates and reports
+# the campaign span.
+dune exec bin/scifinder.exe -- campaign --metrics "$T/campaign.jsonl" \
+  | tee "$T/campaign.out"
+grep -q '^72/200 mutants detected' "$T/campaign.out"
+grep -q '^fingerprint 05410b8b9e7cbc6ba762f03d9bf0159d$' "$T/campaign.out"
+dune exec bench/check_json.exe -- "$T/campaign.jsonl"
+dune exec bin/scifinder.exe -- report "$T/campaign.jsonl" \
+  | tee "$T/campaign_report.out"
+grep -q 'pipeline.campaign' "$T/campaign_report.out"
 # Telemetry overhead budget: obsbench prints the estimated null-sink
 # overhead; the gate is < 2%.
 dune exec bench/main.exe -- obsbench

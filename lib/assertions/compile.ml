@@ -231,57 +231,84 @@ let check_mask t = function
       invalid_arg "Compile.first_firing: mask length <> battery size";
     Some mask
 
-let first_firing ?ignore t records =
-  let ignore = check_mask t ignore in
-  let t0 = Obs.Clock.now_ns () in
-  let nrecords = ref 0 and nevals = ref 0 in
-  let live slot =
-    match ignore with None -> true | Some m -> not m.(slot.s_index)
-  in
-  let rec scan step = function
-    | [] -> None
-    | (record : Trace.Record.t) :: rest ->
-      incr nrecords;
-      let batch = batch_for t record.Trace.Record.point in
-      let n = Array.length batch in
-      let rec probe i =
-        if i >= n then scan (step + 1) rest
-        else begin
-          let slot = Array.unsafe_get batch i in
-          if live slot then begin
-            incr nevals;
-            if slot.s_violated record then begin
-              Obs.Metrics.incr slot.s_fired;
-              Obs.Metrics.add c_firings 1;
-              Some { Monitor.assertion = slot.s_assertion; step; record }
-            end
-            else probe (i + 1)
-          end
-          else probe (i + 1)
+type source = (Trace.Record.t -> unit) -> unit
+
+let of_list records emit = List.iter emit records
+
+(* The first-firing step: one record, the live slots of its batch in
+   battery order, the first that fires. [step] is the record's index in
+   the pass; the pass's record and evaluation counts accumulate here and
+   reach the global metrics once, when the pass ends. *)
+type pass = {
+  compiled : t;
+  mask : bool array option;
+  mutable index : int;
+  mutable evals : int;
+}
+
+let first_live p (record : Trace.Record.t) =
+  let step = p.index in
+  p.index <- step + 1;
+  let batch = batch_for p.compiled record.Trace.Record.point in
+  let n = Array.length batch in
+  let rec probe i =
+    if i >= n then None
+    else begin
+      let slot = Array.unsafe_get batch i in
+      if match p.mask with None -> false | Some m -> m.(slot.s_index)
+      then probe (i + 1)
+      else begin
+        p.evals <- p.evals + 1;
+        if slot.s_violated record then begin
+          Obs.Metrics.incr slot.s_fired;
+          Obs.Metrics.add c_firings 1;
+          Some { Monitor.assertion = slot.s_assertion; step; record }
         end
-      in
-      probe 0
+        else probe (i + 1)
+      end
+    end
   in
-  let result = scan 0 records in
-  Obs.Metrics.add c_records !nrecords;
-  Obs.Metrics.add c_evals !nevals;
+  probe 0
+
+let first_firing_of ?ignore t (source : source) =
+  let p = { compiled = t; mask = check_mask t ignore; index = 0; evals = 0 } in
+  let t0 = Obs.Clock.now_ns () in
+  let exception Fired of Monitor.firing in
+  let result =
+    match
+      source (fun record ->
+          match first_live p record with
+          | Some f -> raise_notrace (Fired f)
+          | None -> ())
+    with
+    | () -> None
+    | exception Fired f -> Some f
+  in
+  Obs.Metrics.add c_records p.index;
+  Obs.Metrics.add c_evals p.evals;
   Obs.Metrics.observe h_run_ns (Int64.to_int (Obs.Clock.ns_since t0));
   result
 
+let first_firing ?ignore t records =
+  first_firing_of ?ignore t (of_list records)
+
 let detects ?ignore t records = first_firing ?ignore t records <> None
 
-let fired_set t records =
+(* The fired-set step: mark every assertion of the record's batch that
+   fires here and has not fired before. *)
+let mark_fired t fired (record : Trace.Record.t) =
+  Array.iter
+    (fun slot ->
+       if not fired.(slot.s_index) && slot.s_violated record then
+         fired.(slot.s_index) <- true)
+    (batch_for t record.Trace.Record.point)
+
+let fired_set_of t (source : source) =
   let fired = Array.make (size t) false in
-  List.iter
-    (fun (record : Trace.Record.t) ->
-       let batch = batch_for t record.Trace.Record.point in
-       Array.iter
-         (fun slot ->
-            if not fired.(slot.s_index) && slot.s_violated record then
-              fired.(slot.s_index) <- true)
-         batch)
-    records;
+  source (mark_fired t fired);
   fired
+
+let fired_set t records = fired_set_of t (of_list records)
 
 let fired_assertions t records =
   let fired = fired_set t records in

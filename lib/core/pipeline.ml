@@ -897,6 +897,7 @@ type inference = {
   model : Ml.Logreg.model;
   chosen_lambda : float;
   cv_accuracy : float;
+  cv_table : (float * float) list;
   test_accuracy : float;
   labeled_sci : int;
   labeled_non_sci : int;
@@ -1031,7 +1032,8 @@ let infer ?(seed = 20170408) ?(alpha = 0.5) ~all_invariants
   Obs.Metrics.set
     (Obs.Metrics.gauge "infer.surviving")
     (float_of_int (List.length surviving));
-  { space; model; chosen_lambda; cv_accuracy; test_accuracy;
+  { space; model; chosen_lambda; cv_accuracy; cv_table = table;
+    test_accuracy;
     labeled_sci = List.length sci;
     labeled_non_sci = List.length non_sci;
     selected_features;
@@ -1092,13 +1094,19 @@ let campaign ?(seed = 42) ?(mutants = 200) ?(triggers = 48) ?(tries = 3)
   let body () =
     let battery = Assertions.Ovl.of_invariants sci in
     let compiled = Assertions.Compile.compile battery in
-    (* Shared trigger pool: each clean trace and its fired-assertion mask
-       are captured once and reused across every mutant. *)
+    (* Every trigger run, clean or mutant, resets this one machine and
+       streams its records straight into the battery. It is local to the
+       call: campaigns run on several domains at once. *)
+    let machine = Cpu.Machine.create () in
+    let source ?fault w emit =
+      Sci.Identify.stream_trigger ~machine ?fault w ~observer:emit
+    in
+    (* Shared trigger pool: each clean run's fired-assertion mask is
+       computed once and reused across every mutant. *)
     let pool =
       Array.init triggers (fun index ->
           let w = Fuzz.Gen.candidate ~seed ~index in
-          let clean = Sci.Identify.capture_trigger w in
-          let fired = Assertions.Compile.fired_set compiled clean in
+          let fired = Assertions.Compile.fired_set_of compiled (source w) in
           (w, fired, Array.exists Fun.id fired))
     in
     let fp_trigger_count =
@@ -1113,12 +1121,10 @@ let campaign ?(seed = 42) ?(mutants = 200) ?(triggers = 48) ?(tries = 3)
                { mutant = m; trigger = w.Workloads.Rt.name;
                  detected = false; latency = -1; assertion = None }
              else begin
-               let buggy =
-                 Sci.Identify.capture_trigger ~fault:m.Bugs.Mutant.fault w
-               in
+               (* The mutant's run stops at its first live firing. *)
                match
-                 Assertions.Compile.first_firing ~ignore:clean_fired
-                   compiled buggy
+                 Assertions.Compile.first_firing_of ~ignore:clean_fired
+                   compiled (source ~fault:m.Bugs.Mutant.fault w)
                with
                | Some f ->
                  { mutant = m; trigger = w.Workloads.Rt.name;

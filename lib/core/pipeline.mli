@@ -273,6 +273,9 @@ type inference = {
   model : Ml.Logreg.model;
   chosen_lambda : float;        (** lambda.1se-style choice from 3-fold CV *)
   cv_accuracy : float;
+  cv_table : (float * float) list;
+      (** every (lambda, mean 3-fold CV accuracy) pair the choice was made
+          from, in {!Ml.Logreg.cross_validate}'s order *)
   test_accuracy : float;        (** on the held-out 30 % (paper: 90 %) *)
   labeled_sci : int;
   labeled_non_sci : int;
@@ -336,8 +339,14 @@ type campaign = {
 val campaign :
   ?seed:int -> ?mutants:int -> ?triggers:int -> ?tries:int ->
   sci:Invariant.Expr.t list -> unit -> campaign
-(** Compile the SCI battery once, capture a pool of [triggers]
-    fuzz-generated clean traces and their fired-assertion masks once,
-    then give each of [mutants] generated faults up to [tries] triggers
-    to fire an assertion outside the trigger's clean-run set (the §5.6
-    discounting discipline). Deterministic per [seed]. *)
+(** Compile the SCI battery once, compute the fired-assertion mask of
+    each of [triggers] fuzz-generated programs' clean runs once, then
+    give each of [mutants] generated faults up to [tries] triggers to
+    fire an assertion outside the trigger's clean-run set (the §5.6
+    discounting discipline). Deterministic per [seed].
+
+    Every run, clean or mutant, happens on one machine created for this
+    call and reset between runs ({!Cpu.Machine.reset}); its records
+    stream straight into the compiled battery and are never stored, and
+    a mutant's run stops at its first live firing. Safe to call from
+    several domains at once. *)

@@ -65,10 +65,10 @@ type t = {
   mutable retired : int;
   mutable prev_insn : Insn.t option;
   mutable prev_word : int;
-  fault : Fault.t;
+  mutable fault : Fault.t;
   (* A tick-timer interrupt is requested every [tick_period] retired
      instructions while SR[TEE] is set; 0 disables the timer. *)
-  tick_period : int;
+  mutable tick_period : int;
   mutable tick_counter : int;
   dcache : dcache option;
 }
@@ -158,6 +158,37 @@ let create ?(fault = Fault.none) ?(tick_period = 0) ?mem_size
                insns = Array.make (1 lsl dcache_bits) None;
                hits = 0; misses = 0; invalidates = 0 }
       else None }
+
+(* Everything [create] sets, put back in place: a reset machine runs
+   the next program exactly as a fresh one would, and its telemetry and
+   decode-cache counters describe that run alone. *)
+let reset t ~fault ~tick_period =
+  Memory.reset t.mem;
+  Array.fill t.tel.exn_entered 0 n_vectors 0;
+  t.tel.exn_suppressed <- 0;
+  t.tel.mem_high_water <- -1;
+  t.tel.truncated <- 0;
+  Array.fill t.gpr 0 32 0;
+  t.pc <- Vec.address Vec.Reset;
+  t.sr <- Sr.reset;
+  t.epcr <- 0; t.esr <- 0; t.eear <- 0;
+  t.machi <- 0; t.maclo <- 0;
+  t.delay_target <- None;
+  t.halted <- None;
+  t.retired <- 0;
+  t.prev_insn <- None;
+  t.prev_word <- 0;
+  t.fault <- fault;
+  t.tick_period <- tick_period;
+  t.tick_counter <- 0;
+  match t.dcache with
+  | Some dc ->
+    let n = Array.length dc.tags in
+    Array.fill dc.tags 0 n (-1);
+    Array.fill dc.words 0 n 0;
+    Array.fill dc.insns 0 n None;
+    dc.hits <- 0; dc.misses <- 0; dc.invalidates <- 0
+  | None -> ()
 
 let load_image t image =
   (* New code: drop every cached decode rather than chase which words

@@ -62,8 +62,8 @@ type t = {
   mutable retired : int;
   mutable prev_insn : Isa.Insn.t option;
   mutable prev_word : int;
-  fault : Fault.t;
-  tick_period : int;
+  mutable fault : Fault.t;           (** set by {!create} and {!reset} *)
+  mutable tick_period : int;
       (** a tick interrupt is requested every [tick_period] retired
           instructions while SR\[TEE\] is set; 0 disables the timer *)
   mutable tick_counter : int;
@@ -103,6 +103,17 @@ val create :
     [decode_cache] (default true) enables the pre-decoded instruction
     cache; disabling it reproduces the decode-per-step baseline for
     benchmarking. Identical architectural behaviour either way. *)
+
+val reset : t -> fault:Fault.t -> tick_period:int -> unit
+(** Put [t] back where {!create} left it, now with [fault] and
+    [tick_period]: GPRs, PC, SR and the SPRs, the pending delay target,
+    the halt and retirement state, the previous instruction, the tick
+    counter, the telemetry record, the decode cache (entries and
+    counters) and memory ({!Memory.reset}, which zeroes only the pages
+    written since the last reset). A reset machine then runs any
+    program exactly as a fresh one would, and its telemetry describes
+    that run alone. The memory size and whether the decode cache is on
+    are kept. Costs what the previous run wrote, not a fresh 2 MiB. *)
 
 val decode_cache_stats : t -> int * int * int
 (** [(hits, misses, invalidates)]; all zero when the cache is off. *)

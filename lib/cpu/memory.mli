@@ -16,6 +16,12 @@ val region_of : int -> region
 val create : ?size:int -> unit -> t
 (** Zero-filled memory; [size] defaults to 2 MiB. *)
 
+val reset : t -> unit
+(** Zero-fill again, as {!create} left it. Memory tracks which 4 KiB
+    pages any write (including {!load_image}) has touched since it was
+    created or last reset, and [reset] zeroes only those, so resetting
+    after a short run costs what the run wrote, not the whole size. *)
+
 exception Bus_error of int
 (** Raised with the offending address on out-of-bounds access. *)
 

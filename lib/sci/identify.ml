@@ -20,15 +20,24 @@ type report = {
   detected : bool;                (* some SCI is violated by the buggy run *)
 }
 
-let capture_trigger ?(fault = Cpu.Fault.none) (trigger : Workloads.Rt.t) =
+(* Every trigger run goes through here: reset the machine for the
+   trigger (fault hook, tick period, fresh state) and stream its
+   step-capped trace to [observer]. *)
+let stream_trigger ~machine ?(fault = Cpu.Fault.none)
+    (trigger : Workloads.Rt.t) ~observer =
   let config =
     { Trace.Runner.default_config with max_steps = trigger_max_steps }
   in
-  let records, _outcome =
-    Trace.Runner.capture ~config ~fault ~tick_period:trigger.tick_period
-      ~entry:trigger.entry trigger.image
-  in
-  records
+  Cpu.Machine.reset machine ~fault ~tick_period:trigger.tick_period;
+  Cpu.Machine.load_image machine trigger.image;
+  Cpu.Machine.set_pc machine trigger.entry;
+  ignore (Trace.Runner.run ~config ~observer machine)
+
+let capture_trigger ?fault trigger =
+  let records = ref [] in
+  stream_trigger ~machine:(Cpu.Machine.create ()) ?fault trigger
+    ~observer:(fun r -> records := r :: !records);
+  List.rev !records
 
 let run ~(index : Checker.index) (bug : Bugs.Registry.t) =
   let buggy = capture_trigger ~fault:bug.fault bug.trigger in

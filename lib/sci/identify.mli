@@ -19,9 +19,20 @@ type report = {
   detected : bool;  (** some SCI is violated by the buggy run *)
 }
 
+val stream_trigger :
+  machine:Cpu.Machine.t -> ?fault:Cpu.Fault.t -> Workloads.Rt.t ->
+  observer:(Trace.Record.t -> unit) -> unit
+(** Reset [machine] ({!Cpu.Machine.reset}) to the trigger's tick period
+    and [fault] (default none), load the trigger and stream its
+    step-capped trace to [observer], materialising nothing. [observer]
+    may raise to stop the run early ({!Trace.Runner.run_fold}); the
+    exception passes through. One machine serves any number of trigger
+    runs, one at a time. *)
+
 val capture_trigger :
   ?fault:Cpu.Fault.t -> Workloads.Rt.t -> Trace.Record.t list
-(** The (step-capped) trace of a trigger program. *)
+(** The (step-capped) trace of a trigger program: {!stream_trigger} on a
+    fresh machine, collected into a list. *)
 
 val run : index:Checker.index -> Bugs.Registry.t -> report
 

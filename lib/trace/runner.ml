@@ -170,7 +170,10 @@ let fold_machine_telemetry machine =
    to [pending] and the next snapshot goes to the other buffer. (The
    delay-slot's own exceptional record needs no copy at all: the PC
    triplet of the pre-state is overwritten by [build_record], so the
-   current buffer can be passed as is.) *)
+   current buffer can be passed as is.)
+
+   A consumer that has seen enough (the campaign, at its first firing)
+   raises out of [f]; the run stops there. *)
 let run_fold ?(config = default_config) ~init ~f machine : _ * outcome =
   let mask_table = Record.create_mask_table () in
   let mask_config = config.mask_config in
@@ -223,8 +226,12 @@ let run_fold ?(config = default_config) ~init ~f machine : _ * outcome =
            end)
     end
   in
-  let outcome = loop 0 in
-  fold_machine_telemetry machine;
+  (* [f] ends the run early by raising: the exception passes through
+     once the run's telemetry is folded, and is no truncation. *)
+  let outcome =
+    Fun.protect ~finally:(fun () -> fold_machine_telemetry machine)
+      (fun () -> loop 0)
+  in
   (!acc, outcome)
 
 (* Execute [machine] until halt, feeding fused records to [observer]. *)

@@ -21,7 +21,15 @@ val run_fold :
     it is produced — the primitive the other entry points wrap. The
     trace is never materialised and no per-record state is copied (the
     pre-state snapshot double-buffers across delay slots). The record
-    passed to [f] is freshly allocated and owned by the consumer. *)
+    passed to [f] is freshly allocated and owned by the consumer.
+
+    [f] ends the run early by raising: the machine stops after the
+    record [f] raised on, its telemetry is folded into the global
+    metrics, and the exception passes through. An early stop is not a
+    truncation ([cpu.truncated_runs] does not count it) and no dangling
+    branch is flushed. The machine's telemetry is folded once per call,
+    so a machine reused across runs ({!Cpu.Machine.reset}) counts each
+    run once. *)
 
 val run :
   ?config:config -> observer:(Record.t -> unit) -> Cpu.Machine.t -> outcome

@@ -206,12 +206,11 @@ let test_compile_covers_grammar () =
   Alcotest.(check bool) "all-masked is silent" false
     (Assertions.Compile.detects ~ignore:all compiled trace)
 
-(* QCheck: over random batteries and random traces, the compiled monitor
-   reproduces the oracle's (assertion, step) firing sequence exactly. *)
-let qcheck_compiled_equals_interpretive =
+(* Random batteries and traces: invariants over random variables at the
+   given points, records with random values. *)
+let gen_inv points =
   let open QCheck in
   let gid = Gen.int_range 0 (Var.total - 1) in
-  let gpoint = Gen.oneofl [ "l.add"; "l.sub"; "l.and" ] in
   let gterm =
     Gen.frequency
       [ (4, Gen.map (fun id -> Expr.V id) gid);
@@ -232,25 +231,35 @@ let qcheck_compiled_equals_interpretive =
          Gen.map2 (fun t vs -> Expr.In (t, vs)) gterm
            (Gen.list_size (Gen.int_bound 10) (Gen.int_bound 64))) ]
   in
-  let ginv = Gen.map2 (fun point body -> { Expr.point; body }) gpoint gbody in
-  let grecord =
-    Gen.map2
-      (fun point vals ->
-         let values = Array.make Var.total 0 in
-         List.iteri (fun i v -> values.(i mod Var.total) <- v) vals;
-         { Trace.Record.point; values; mask = Array.make Var.total true })
-      gpoint
-      (Gen.list_size (Gen.return Var.total)
-         (Gen.oneof [ Gen.int_bound 64; Gen.int_bound 0xFFFF_FFFF ]))
-  in
+  Gen.map2 (fun point body -> { Expr.point; body }) (Gen.oneofl points) gbody
+
+let random_points = [ "l.add"; "l.sub"; "l.and" ]
+
+let gen_record =
+  let open QCheck in
+  Gen.map2
+    (fun point vals ->
+       let values = Array.make Var.total 0 in
+       List.iteri (fun i v -> values.(i mod Var.total) <- v) vals;
+       { Trace.Record.point; values; mask = Array.make Var.total true })
+    (Gen.oneofl random_points)
+    (Gen.list_size (Gen.return Var.total)
+       (Gen.oneof [ Gen.int_bound 64; Gen.int_bound 0xFFFF_FFFF ]))
+
+let print_battery invs =
+  String.concat "; " (List.map Expr.to_string invs)
+
+(* QCheck: over random batteries and random traces, the compiled monitor
+   reproduces the oracle's (assertion, step) firing sequence exactly. *)
+let qcheck_compiled_equals_interpretive =
+  let open QCheck in
   let arb =
     make
       ~print:(fun (invs, records) ->
           Printf.sprintf "%d invariants / %d records: %s"
-            (List.length invs) (List.length records)
-            (String.concat "; " (List.map Expr.to_string invs)))
-      Gen.(pair (list_size (int_range 1 6) ginv)
-             (list_size (int_range 0 20) grecord))
+            (List.length invs) (List.length records) (print_battery invs))
+      Gen.(pair (list_size (int_range 1 6) (gen_inv random_points))
+             (list_size (int_range 0 20) gen_record))
   in
   Test.make ~name:"compiled == interpretive (random batteries)" ~count:300 arb
     (fun (invs, records) ->
@@ -261,6 +270,135 @@ let qcheck_compiled_equals_interpretive =
        fi = fc
        && Assertions.Monitor.detects battery records
           = Assertions.Compile.detects compiled records)
+
+(* ---- streaming: a source that stops at the first firing ---- *)
+
+let first_key = Option.map (fun (f : Assertions.Monitor.firing) ->
+    (f.assertion.Ovl.name, f.Assertions.Monitor.step))
+
+(* The interpretive answer under an ignore mask: the first firing of the
+   battery with the masked assertions left out. *)
+let oracle_first battery mask records =
+  Assertions.Monitor.first_firing
+    (List.filteri (fun i _ -> not mask.(i)) battery) records
+
+let oracle_fired battery records =
+  let fired = Assertions.Monitor.fired_assertions battery records in
+  Array.of_list
+    (List.map
+       (fun (a : Ovl.t) ->
+          List.exists (fun (b : Ovl.t) -> b.Ovl.name = a.Ovl.name) fired)
+       battery)
+
+(* A list source that counts what it produced: once the first live
+   firing is found, nothing after it may be produced. *)
+let counting_source records =
+  let produced = ref 0 in
+  (produced, fun emit -> List.iter (fun r -> incr produced; emit r) records)
+
+let expected_produced records = function
+  | Some (f : Assertions.Monitor.firing) -> f.Assertions.Monitor.step + 1
+  | None -> List.length records
+
+(* Random records: the streamed first firing equals the list one and the
+   oracle's, stops right after the firing, and the streamed fired set
+   equals the list one and the oracle's. *)
+let qcheck_streamed_equals_list =
+  let open QCheck in
+  let arb =
+    make
+      ~print:(fun ((invs, records), mask) ->
+          Printf.sprintf "%d invariants / %d records, mask %s: %s"
+            (List.length invs) (List.length records)
+            (String.concat "" (List.map (fun b -> if b then "1" else "0") mask))
+            (print_battery invs))
+      Gen.(pair
+             (pair (list_size (int_range 1 6) (gen_inv random_points))
+                (list_size (int_range 0 20) gen_record))
+             (list_repeat 6 bool))
+  in
+  Test.make ~name:"streamed == list == interpretive (random records)"
+    ~count:300 arb
+    (fun ((invs, records), mask) ->
+       let battery = Ovl.of_invariants invs in
+       let compiled = Assertions.Compile.compile battery in
+       let mask = Array.sub (Array.of_list mask) 0 (List.length battery) in
+       let produced, source = counting_source records in
+       let streamed =
+         Assertions.Compile.first_firing_of ~ignore:mask compiled source
+       in
+       let stopped = !produced = expected_produced records streamed in
+       first_key streamed
+       = first_key (Assertions.Compile.first_firing ~ignore:mask compiled records)
+       && first_key streamed = first_key (oracle_first battery mask records)
+       && stopped
+       && Assertions.Compile.fired_set_of compiled (snd (counting_source records))
+          = Assertions.Compile.fired_set compiled records
+       && Assertions.Compile.fired_set compiled records
+          = oracle_fired battery records)
+
+(* Real machine runs, the campaign's way: a fuzz trigger's clean run
+   streamed into the fired-set step gives the clean mask, then a mutant
+   run on the same (reset) machine is streamed into the first-firing step
+   and stops at the first live firing. The masks tried are none (the run
+   usually stops within a few records), a random part of the clean mask,
+   and the whole clean mask (the campaign's). Each answer equals the
+   captured list's and the oracle's, and each stopped run's telemetry is
+   folded: cpu.retired grows by exactly what the stopped machine
+   retired. *)
+let qcheck_streamed_machine_runs =
+  let open QCheck in
+  let machine = Cpu.Machine.create () in
+  let mutants = Array.of_list (Bugs.Mutant.generate ~seed:5 ~count:32) in
+  let c_retired = Obs.Metrics.counter "cpu.retired" in
+  let points =
+    [ "l.add"; "l.addi"; "l.ori"; "l.movhi"; "l.sw"; "l.lwz"; "l.sfne";
+      "l.bf"; "l.jal"; "l.mtspr"; "l.mfspr"; "l.rfe"; "l.sys" ]
+  in
+  let arb =
+    make
+      ~print:(fun (((index, m), invs), _) ->
+          Printf.sprintf "trigger %d, mutant %s: %s" index
+            mutants.(m).Bugs.Mutant.id (print_battery invs))
+      Gen.(pair
+             (pair
+                (pair (int_bound 47) (int_bound (Array.length mutants - 1)))
+                (list_size (int_range 1 12) (gen_inv points)))
+             (list_repeat 12 bool))
+  in
+  Test.make ~name:"streamed machine runs == captured lists" ~count:100 arb
+    (fun (((index, m), invs), keep) ->
+       let w = Fuzz.Gen.candidate ~seed:3 ~index in
+       let fault = mutants.(m).Bugs.Mutant.fault in
+       let battery = Ovl.of_invariants invs in
+       let compiled = Assertions.Compile.compile battery in
+       let source ?fault emit =
+         Sci.Identify.stream_trigger ~machine ?fault w ~observer:emit
+       in
+       let clean = Sci.Identify.capture_trigger w in
+       let clean_mask = Assertions.Compile.fired_set_of compiled source in
+       let buggy = Sci.Identify.capture_trigger ~fault w in
+       let streamed_agrees mask =
+         let produced = ref 0 in
+         let retired0 = Obs.Metrics.counter_value c_retired in
+         let streamed =
+           Assertions.Compile.first_firing_of ~ignore:mask compiled
+             (fun emit -> source ~fault (fun r -> incr produced; emit r))
+         in
+         let folded = Obs.Metrics.counter_value c_retired - retired0 in
+         first_key streamed
+         = first_key
+             (Assertions.Compile.first_firing ~ignore:mask compiled buggy)
+         && first_key streamed = first_key (oracle_first battery mask buggy)
+         && !produced = expected_produced buggy streamed
+         && folded = machine.Cpu.Machine.retired
+       in
+       clean_mask = Assertions.Compile.fired_set compiled clean
+       && clean_mask = oracle_fired battery clean
+       && streamed_agrees (Array.map (fun _ -> false) clean_mask)
+       && streamed_agrees
+            (Array.mapi (fun i b -> b && List.nth keep i) clean_mask)
+       && streamed_agrees clean_mask)
 
 (* ---- cost model ---- *)
 
@@ -381,7 +519,9 @@ let () =
       ("compile",
        [ Alcotest.test_case "grammar coverage" `Quick
            test_compile_covers_grammar;
-         QCheck_alcotest.to_alcotest qcheck_compiled_equals_interpretive ]);
+         QCheck_alcotest.to_alcotest qcheck_compiled_equals_interpretive;
+         QCheck_alcotest.to_alcotest qcheck_streamed_equals_list;
+         QCheck_alcotest.to_alcotest qcheck_streamed_machine_runs ]);
       ("verilog",
        [ Alcotest.test_case "structure" `Quick test_verilog_structure;
          Alcotest.test_case "fire polarity" `Quick test_verilog_fire_polarity;

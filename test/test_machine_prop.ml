@@ -149,5 +149,133 @@ let tests =
          m.M.gpr.(0) = 0);
   ]
 
+(* ---- a reset machine runs like a fresh one ---- *)
+
+module Rt = Workloads.Rt
+
+type run_view = {
+  trace_digest : string;  (* chained MD5 over the fused records *)
+  outcome : Trace.Runner.outcome;
+  arch : int list;        (* GPRs, PC, SR and the SPRs *)
+  pending : int option * M.halt_reason option;
+  retired : int;
+  exns : (string * int) list;
+  exn_suppressed : int;
+  truncated : int;
+  dcache : int * int * int;
+  mem_high_water : int;
+}
+
+(* Load [w] into a machine already reset (or created) for it and run it
+   under the trigger step cap, recording everything a run shows. *)
+let view_run m (w : Rt.t) =
+  M.load_image m w.Rt.image;
+  M.set_pc m w.Rt.entry;
+  let config =
+    { Trace.Runner.default_config with
+      max_steps = Sci.Identify.trigger_max_steps }
+  in
+  let trace_digest, outcome =
+    Trace.Runner.run_fold ~config ~init:""
+      ~f:(fun acc r ->
+          Digest.string (acc ^ Marshal.to_string r [ Marshal.No_sharing ]))
+      m
+  in
+  { trace_digest; outcome;
+    arch =
+      Array.to_list m.M.gpr
+      @ [ m.M.pc; m.M.sr; m.M.epcr; m.M.esr; m.M.eear; m.M.machi;
+          m.M.maclo ];
+    pending = (m.M.delay_target, m.M.halted);
+    retired = m.M.retired;
+    exns = M.exception_counts m;
+    exn_suppressed = m.M.tel.M.exn_suppressed;
+    truncated = m.M.tel.M.truncated;
+    dcache = M.decode_cache_stats m;
+    mem_high_water = m.M.tel.M.mem_high_water }
+
+let fresh_run (fault, (w : Rt.t)) =
+  view_run (M.create ~fault ~tick_period:w.Rt.tick_period ()) w
+
+(* Dirty a machine with one program, reset it, then run the other. *)
+let reset_run ~dirty:(dfault, (dw : Rt.t)) (fault, (w : Rt.t)) =
+  let m = M.create ~fault:dfault ~tick_period:dw.Rt.tick_period () in
+  ignore (view_run m dw);
+  M.reset m ~fault ~tick_period:w.Rt.tick_period;
+  view_run m w
+
+(* Self-modifying code: the first pass through [patch] runs (and caches)
+   addi r5,r5,1, then overwrites it with addi r5,r5,100, which the second
+   pass must decode afresh: r5 ends at 101, and each pass's store drops
+   the cached word (two invalidates). *)
+let smc_program =
+  let open Asm.Build in
+  Rt.build ~name:"smc"
+    (Rt.prologue
+     @ [ li 5 0; li 6 0; label "patch"; addi 5 5 1; la 3 "patch" ]
+     @ li32 4 (Code.encode (Insn.Alui (Insn.Addi, 5, 5, 100)))
+     @ [ sw 0 3 4; addi 6 6 1; sfltui 6 2; bf "patch"; nop ]
+     @ Rt.exit_program)
+
+(* Read-increment-write the last word of memory: r4 ends at 1 only when
+   the run starts from zeroed memory. *)
+let top_store_program =
+  let open Asm.Build in
+  Rt.build ~name:"top-store"
+    (Rt.prologue
+     @ li32 3 (Cpu.Memory.default_size - 4)
+     @ [ lwz 4 3 0; addi 4 4 1; sw 0 3 4 ]
+     @ Rt.exit_program)
+
+let mutants = Array.of_list (Bugs.Mutant.generate ~seed:11 ~count:48)
+
+(* A fuzz trigger and either the clean processor or a generated mutant. *)
+let gen_case =
+  let open QCheck.Gen in
+  map3
+    (fun seed index m ->
+       let w = Fuzz.Gen.candidate ~seed ~index in
+       match m with
+       | None -> ("clean", (Cpu.Fault.none, w))
+       | Some i ->
+         let mu = mutants.(i) in
+         (mu.Bugs.Mutant.id, (mu.Bugs.Mutant.fault, w)))
+    (int_range 1 3) (int_bound 63)
+    (opt (int_bound (Array.length mutants - 1)))
+
+let reset_prop =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:"a reset machine runs like a fresh one"
+       (QCheck.make
+          ~print:(fun ((fa, (_, a)), (fb, (_, b))) ->
+              Printf.sprintf "run %s/%s after %s/%s" a.Rt.name fa
+                b.Rt.name fb)
+          (QCheck.Gen.pair gen_case gen_case))
+       (fun ((_, run), (_, dirty)) -> fresh_run run = reset_run ~dirty run))
+
+let test_reset_fixed () =
+  let clean w = (Cpu.Fault.none, w) in
+  let fuzz = clean (Fuzz.Gen.candidate ~seed:1 ~index:5) in
+  let mutant = (mutants.(0).Bugs.Mutant.fault, snd fuzz) in
+  let smc = clean smc_program and top = clean top_store_program in
+  List.iter
+    (fun (label, run, dirty) ->
+       Alcotest.(check bool) label true (fresh_run run = reset_run ~dirty run))
+    [ ("smc after smc", smc, smc); ("smc after fuzz", smc, fuzz);
+      ("fuzz after smc", fuzz, smc); ("top after top", top, top);
+      ("mutant after top", mutant, top); ("top after mutant", top, mutant) ];
+  let v = reset_run ~dirty:smc smc in
+  Alcotest.(check int) "smc patched its own code" 101 (List.nth v.arch 5);
+  let _, _, invalidates = v.dcache in
+  Alcotest.(check int) "two invalidates" 2 invalidates;
+  Alcotest.(check int) "top word read as zero" 1
+    (List.nth (reset_run ~dirty:top top).arch 4)
+
 let () =
-  Alcotest.run "machine-properties" [ ("differential", tests) ]
+  Alcotest.run "machine-properties"
+    [ ("differential", tests);
+      ("reset",
+       [ reset_prop;
+         Alcotest.test_case "self-modifying code, top of memory" `Quick
+           test_reset_fixed ]) ]

@@ -116,32 +116,6 @@ let print_provenance_golden () =
          (Daikon.Engine.death_families (Daikon.Engine.decode bytes)))
     [ 1; 2 ]
 
-(* [Pipeline.infer]'s default seed: it drives the class balance, the
-   70/30 split and the cross-validation folds. *)
-let infer_seed = 20170408
-
-(* [Pipeline.infer]'s labeled training matrix, rebuilt the way it
-   builds it, so the CV table it chooses lambda from can be printed
-   ([infer] does not return it). *)
-let training_matrix ~optimized (summary : Sci.Identify.summary) =
-  let space = Invariant.Feature.build_space optimized in
-  let sci = summary.Sci.Identify.unique_sci in
-  let rng = Util.Prng.create infer_seed in
-  let non_arr = Array.of_list summary.Sci.Identify.unique_fp in
-  Util.Prng.shuffle rng non_arr;
-  let n_non = min (Array.length non_arr) (List.length sci) in
-  let non_sci = Array.to_list (Array.sub non_arr 0 (max 1 n_non)) in
-  let labeled =
-    Array.of_list
-      (List.map (fun i -> (i, 0.0)) sci @ List.map (fun i -> (i, 1.0)) non_sci)
-  in
-  Util.Prng.shuffle rng labeled;
-  let train = Array.sub labeled 0 (max 2 (Array.length labeled * 7 / 10)) in
-  ( Ml.Matrix.of_rows
-      (Array.to_list
-         (Array.map (fun (i, _) -> Invariant.Feature.vector space i) train)),
-    Array.map snd train )
-
 (* Phase 4, pinned: the CV table and the chosen model (Table 4), the
    recommendations (Table 5), property coverage (Tables 6 and 7) and
    unknown-bug detection (§5.6). Floats print at full precision, Table 4
@@ -150,10 +124,7 @@ let print_inference_golden ~optimized (summary : Sci.Identify.summary) =
   print_endline
     "# Phase 4: Pipeline.infer over the optimized set and Table 3's labels.";
   let inf = Pipeline.infer ~all_invariants:optimized summary in
-  let x, y = training_matrix ~optimized summary in
-  let _, _, table =
-    Ml.Logreg.cross_validate ~alpha:0.5 ~folds:3 ~seed:infer_seed x y
-  in
+  let table = inf.Pipeline.cv_table in
   List.iter
     (fun (lambda, acc) ->
        Printf.printf "cv lambda=%.17g accuracy=%.17g\n" lambda acc)
