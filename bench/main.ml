@@ -2,14 +2,18 @@
    paper's evaluation (§5) and runs the gated experiments.
 
      main.exe               every paper table and figure, in paper order
-     main.exe <id>          one experiment of [registry] (at the end)
-     main.exe export [DIR]  the figure series as CSV (default bench_data)
+     main.exe <id> ...      the experiments of [registry] (at the end)
+                            named, in the order given
+     main.exe export [DIR]  the figure series as CSV (default bench_data;
+                            an argument that is an experiment id is the
+                            next experiment, not the directory)
      main.exe -j N ...      mine the trace corpus on a pool of N domains
                             (default: the recommended domain count)
 
    A gated experiment prints its verdict as a PASS/FAIL line; the run
-   exits 1 if any gate failed, and an unknown id exits 1 with the list
-   of ids. Per-layer timings live in scibench (bench/e2e), not here.
+   exits 1 if any gate failed, and an unknown id anywhere exits 1 with
+   the list of ids before any experiment runs. Per-layer timings live in
+   scibench (bench/e2e), not here.
 
    Absolute numbers differ from the paper (the substrate is an ISA-level
    simulator and a synthetic trace corpus, see DESIGN.md); the shapes are
@@ -62,8 +66,8 @@ let with_temp_dir tag f =
         try Unix.rmdir dir with Unix.Unix_error _ -> ())
     (fun () -> f dir)
 
-(* The command line: "-j N" anywhere; the rest are the experiment id
-   and its optional argument (export's directory). *)
+(* The command line: "-j N" anywhere; the rest are experiment ids, an
+   export optionally followed by its directory. *)
 let jobs, positional =
   let usage msg = prerr_endline msg; exit 1 in
   let rec go jobs acc = function
@@ -1356,6 +1360,9 @@ type experiment = { id : string; in_all : bool; run : unit -> bool }
 let table id f = { id; in_all = true; run = (fun () -> f (); true) }
 let gate id run = { id; in_all = false; run }
 
+let export_to dir =
+  { id = "export"; in_all = false; run = (fun () -> export dir; true) }
+
 let registry =
   [ table "fig3" fig3;
     table "tab2" tab2;
@@ -1378,25 +1385,26 @@ let registry =
     gate "mutbench" mutbench;
     gate "lakebench" lakebench;
     gate "servebench" servebench;
-    { id = "export";
-      in_all = false;
-      run =
-        (fun () ->
-           export (match positional with _ :: dir :: _ -> dir | _ -> "bench_data");
-           true) } ]
+    export_to "bench_data" ]
 
 let () =
-  let chosen =
-    match positional with
-    | [] -> List.filter (fun e -> e.in_all) registry
-    | id :: _ ->
-      (match List.find_opt (fun e -> e.id = id) registry with
-       | Some e -> [ e ]
+  let find id = List.find_opt (fun e -> e.id = id) registry in
+  let rec parse = function
+    | [] -> []
+    | "export" :: dir :: rest when find dir = None -> export_to dir :: parse rest
+    | id :: rest ->
+      (match find id with
+       | Some e -> e :: parse rest
        | None ->
          prerr_endline
            ("unknown experiment: " ^ id ^ " (one of: "
             ^ String.concat " " (List.map (fun e -> e.id) registry) ^ ")");
          exit 1)
+  in
+  let chosen =
+    match positional with
+    | [] -> List.filter (fun e -> e.in_all) registry
+    | ids -> parse ids
   in
   let failed = List.filter (fun e -> not (e.run ())) chosen in
   if failed <> [] then begin

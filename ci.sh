@@ -24,6 +24,17 @@ dune runtest
 OCAMLRUNPARAM=R dune runtest --force
 # Bench smoke: mine Figure 3 on two shards.
 dune exec bench/main.exe -- fig3 -j 2
+# The bench runs every experiment id it is given, in order; an unknown
+# id anywhere exits 1 before any experiment runs.
+dune exec bench/main.exe -- tab6 tab7 | tee "$T/tab67.out"
+grep -q '^===== Table 6:' "$T/tab67.out"
+grep -q '^===== Table 7:' "$T/tab67.out"
+if dune exec bench/main.exe -- nosuch tab6 > "$T/nosuch.out" 2>&1; then
+  echo "bench accepted an unknown experiment id"; exit 1
+fi
+if grep -q '^=====' "$T/nosuch.out"; then
+  echo "bench ran an experiment before rejecting an unknown id"; exit 1
+fi
 # Flight-recorder gate: a provenance mine must attribute at least one
 # death per invariant family — candidate, killing workload, record —
 # while writing both telemetry artifacts in one run.
@@ -37,7 +48,9 @@ done
 # pids, non-negative timestamps/durations) and be Perfetto-loadable:
 # no mine.shard span may float as a root.
 dune exec bench/check_json.exe -- "$T/run.trace.json" "$T/run.jsonl"
-! grep -q '"name":"mine.shard".*"parent":null' "$T/run.trace.json"
+if grep -q '"name":"mine.shard".*"parent":null' "$T/run.trace.json"; then
+  echo "a mine.shard span is a root in the Chrome trace"; exit 1
+fi
 # The report command digests the same stream: span tree, candidate
 # funnel, and zero skipped lines on our own telemetry.
 dune exec bin/scifinder.exe -- report "$T/run.jsonl" | tee "$T/report.out"
@@ -127,6 +140,10 @@ dune exec bin/scifinder.exe -- client mine --socket "$T/serve.sock" -w pi | tee 
 grep -q 'mined 477 records (session total 477)' "$T/servecli.out"
 dune exec bin/scifinder.exe -- client mine --socket "$T/serve.sock" -w helloworld | tee "$T/servecli2.out"
 grep -q 'mined 329 records (session total 806)' "$T/servecli2.out"
+# The daemon's Figure 3 row diffs the session's per-point key cache
+# against the previous request's: the batch row for the same two steps.
+grep -Eq '^helloworld +2330 unmodified +4460 fresh +553 deleted +6790 total$' \
+  "$T/servecli2.out"
 dune exec bin/scifinder.exe -- client status --socket "$T/serve.sock" | tee "$T/servestatus.out"
 grep -q 'p99 job' "$T/servestatus.out"
 kill -TERM "$SERVE_PID"

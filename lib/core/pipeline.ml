@@ -180,10 +180,21 @@ type mining = {
   seconds : float;
 }
 
-let canon_set invs =
-  let s = Hashtbl.create 65536 in
-  List.iter (fun i -> Hashtbl.replace s (Expr.canonical i) ()) invs;
-  s
+(* An invariant set as [Daikon.Engine.point_keys] gives it: per program
+   point, in name order, the sorted distinct canonical keys. *)
+let keys_by_point invs =
+  let by_point = Hashtbl.create 97 in
+  List.iter
+    (fun (i : Expr.t) ->
+       Hashtbl.replace by_point i.point
+         (Expr.canonical i
+          :: Option.value ~default:[] (Hashtbl.find_opt by_point i.point)))
+    invs;
+  Hashtbl.fold
+    (fun point keys acc ->
+       (point, Array.of_list (List.sort_uniq String.compare keys)) :: acc)
+    by_point []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Workload references are resolved once, up front: first against the
    caller-supplied pool, then against the suite (built-ins plus anything
@@ -347,25 +358,49 @@ let prov_report ~provenance engine invariants =
                  (Daikon.Engine.narrow_witness engine i))
             invariants }
 
-(* One Figure 3 row: diff the engine's current invariant set against the
-   previous snapshot (threaded through [previous]). *)
-let fig3_row ~previous ~label engine =
-  let current = canon_set (Daikon.Engine.invariants engine) in
-  let fresh = ref 0 and unmodified = ref 0 in
-  Hashtbl.iter
-    (fun k () ->
-       if Hashtbl.mem !previous k then incr unmodified else incr fresh)
-    current;
-  let deleted = ref 0 in
-  Hashtbl.iter
-    (fun k () -> if not (Hashtbl.mem current k) then incr deleted)
-    !previous;
-  previous := current;
+(* One Figure 3 row: diff the current per-point keys against those of
+   the previous row, both in point-name order. A point whose array is
+   physically the previous one has not moved, so all of it is
+   unmodified; any other pair of arrays is walked in step. A point
+   missing from one side counts as empty there. *)
+let fig3_row ~previous ~label current =
+  let unmodified = ref 0 and fresh = ref 0 and deleted = ref 0 in
+  let diff old now =
+    let shared =
+      if old == now then Array.length now
+      else begin
+        let rec walk i j acc =
+          if i = Array.length old || j = Array.length now then acc
+          else
+            let c = String.compare old.(i) now.(j) in
+            if c = 0 then walk (i + 1) (j + 1) (acc + 1)
+            else if c < 0 then walk (i + 1) j acc
+            else walk i (j + 1) acc
+        in
+        walk 0 0 0
+      end
+    in
+    unmodified := !unmodified + shared;
+    fresh := !fresh + Array.length now - shared;
+    deleted := !deleted + Array.length old - shared
+  in
+  let rec points prev cur =
+    match prev, cur with
+    | [], [] -> ()
+    | (_, old) :: prev, [] -> diff old [||]; points prev []
+    | [], (_, now) :: cur -> diff [||] now; points [] cur
+    | (p, old) :: prev', (q, now) :: cur' ->
+      let c = String.compare p q in
+      if c = 0 then (diff old now; points prev' cur')
+      else if c < 0 then (diff old [||]; points prev' cur)
+      else (diff [||] now; points prev cur')
+  in
+  points previous current;
   { group_label = label;
     unmodified = !unmodified;
     fresh = !fresh;
     deleted = !deleted;
-    total = Hashtbl.length current }
+    total = !unmodified + !fresh }
 
 (* A timed shard merge, feeding the merge-cost counters. *)
 let absorb_shard engine shard =
@@ -442,7 +477,8 @@ module Session = struct
     jobs : int;
     cache_dir : string option;
     mutable engine : Daikon.Engine.t;
-    mutable previous : (string, unit) Hashtbl.t;
+    (* Each point's keys at the last row, in point-name order. *)
+    mutable previous : (string * string array) list;
     mutable sources : source list;  (* newest first *)
   }
 
@@ -450,7 +486,7 @@ module Session = struct
       ?(provenance = false) ?cache_dir () =
     { config; provenance; jobs; cache_dir;
       engine = Daikon.Engine.create ~config ~provenance ();
-      previous = Hashtbl.create 1;
+      previous = [];
       sources = [] }
 
   let record_count t = Daikon.Engine.record_count t.engine
@@ -473,9 +509,9 @@ module Session = struct
       seconds = 0.0 }
 
   let snapshot_row t ~label =
-    let previous = ref t.previous in
-    let row = fig3_row ~previous ~label t.engine in
-    t.previous <- !previous;
+    let current = Daikon.Engine.point_keys t.engine in
+    let row = fig3_row ~previous:t.previous ~label current in
+    t.previous <- current;
     Obs.Metrics.add c_mine_fresh row.fresh;
     Obs.Metrics.add c_mine_deleted row.deleted;
     row
@@ -610,7 +646,7 @@ module Session = struct
           | Some (m, engine) ->
             Obs.Metrics.incr c_summary_hit;
             t.engine <- engine;
-            t.previous <- canon_set m.invariants;
+            t.previous <- keys_by_point m.invariants;
             Some m
           | None ->
             Obs.Metrics.incr c_summary_miss;

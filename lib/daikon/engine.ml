@@ -106,6 +106,13 @@ type point_state = {
   pdiff : int array;
   pscale : int array;
   mutable n : int;
+  (* The Figure 3 row cache: this point's sorted, deduplicated canonical
+     keys as [point_keys] last extracted them, when its record count was
+     [keys_n] (-1: none yet). [observe] moves [n] past it and
+     [merge_point] clears it, so a point whose state moved re-extracts;
+     only the keys are kept, not the invariants behind them. *)
+  mutable keys : string array;
+  mutable keys_n : int;
 }
 
 (* ---- Candidate-lifecycle provenance (the flight recorder) ----
@@ -286,7 +293,7 @@ let pack_point name vars stats dstats (pairs : ptracker array) n =
       pflags = Bytes.make npairs '\000';
       pdiff = Array.make npairs 0;
       pscale = Array.make npairs 0;
-      n }
+      n; keys = [||]; keys_n = -1 }
   in
   Array.iteri (fun k p -> pair_store st k p) pairs;
   st
@@ -655,6 +662,9 @@ let merge_point t dst src =
       (Printf.sprintf
          "Daikon.Engine.merge_into: point %s has incompatible shapes"
          dst.pname);
+  (* A join can change what the point extracts without moving [n] (a
+     decoded point may carry n = 0), so it drops the row cache. *)
+  dst.keys_n <- -1;
   dst.n <- dst.n + src.n;
   Array.iteri
     (fun k id ->
@@ -1034,6 +1044,24 @@ let invariants t =
     | [] -> []
   in
   dedup sorted
+
+(* The Figure 3 row path: each point's canonical keys, re-extracting only
+   the points whose state moved since [point_keys] last saw them. Keys
+   are cached, invariants are not: [invariants] stays the one full
+   extraction, and holding the Expr.t values too would keep a second
+   copy of every extracted set alive between rows. *)
+let point_keys t =
+  List.map
+    (fun st ->
+       if st.keys_n <> st.n then begin
+         st.keys <-
+           Array.of_list
+             (List.sort_uniq String.compare
+                (List.rev_map Expr.canonical (extract_point t.config st [])));
+         st.keys_n <- st.n
+       end;
+       (st.pname, st.keys))
+    (sorted_points t)
 
 (* ---- Persistent snapshots ----
 

@@ -48,6 +48,26 @@ val observe_baseline : t -> Trace.Record.t -> unit
 val invariants : t -> Invariant.Expr.t list
 (** The currently justified set, deduplicated and in canonical order. *)
 
+val point_keys : t -> (string * string array) list
+(** Every program point, in {!points} order, with the sorted,
+    deduplicated {!Invariant.Expr.canonical} keys of the invariants it
+    currently justifies — what {!invariants} would extract there. This
+    is the Figure 3 row path, and it costs what changed: each point
+    caches the keys of its last extraction and re-extracts only when its
+    state has moved since. {!observe} moves a point by counting a
+    record; {!merge_into} clears the cache of every point it joins;
+    decoded and newly interned points start without one; a point that
+    {!merge_into} adopts from [src] keeps [src]'s (the configurations
+    match). A point that has not moved comes back as the physically
+    same array as the previous call returned, so a caller diffing
+    successive calls can skip it with [==].
+
+    A Figure 3 row built from these counts distinct (point, key) pairs.
+    Each key begins with its point name and a ['|'], so two points'
+    keys can coincide only when a point name contains ['|']; no
+    instruction mnemonic does, so for every traced corpus this is the
+    count of distinct keys in {!invariants}. *)
+
 val merge_into : t -> t -> unit
 (** [merge_into dst src] joins [src]'s state into [dst], point by point:
     min/max intervals join, distinct-value sets union (dying past the

@@ -7,8 +7,9 @@ type counter = { cname : string; cunit : string option; n : int Atomic.t }
 
 type gauge = { gname : string; gunit : string option; level : float Atomic.t }
 
-(* Power-of-two bucket histogram: observation v lands in bucket
-   floor(log2 v) (bucket 0 holds 0 and 1). 63 buckets cover the int
+(* Log-linear bucket histogram: values 0-7 get a bucket each, and every
+   power of two above is split into 8 linear sub-buckets, so a bucket's
+   width is at most 1/8 of its lower bound. 480 buckets cover the int
    range; percentile estimates report the bucket's upper bound. *)
 type histogram = {
   hname : string;
@@ -83,22 +84,34 @@ let histogram ?unit name =
   find_or_register name
     (fun () ->
        let h = { hname = name; hunit = unit; lock = Mutex.create ();
-                 buckets = Array.make 63 0;
+                 buckets = Array.make 480 0;
                  count = 0; sum = 0; hmin = max_int; hmax = min_int } in
        (h, Histogram h))
     (function Histogram h -> Some h | _ -> None)
     kind_name
 
+(* Sub-bucket [s] of power [e] (2^e <= v < 2^(e+1), e >= 3) holds
+   [(8 + s) lsl (e - 3)] up to one below [(9 + s) lsl (e - 3)]. *)
 let bucket_of v =
-  if v <= 1 then 0
-  else
-    let rec go b v = if v <= 1 then b else go (b + 1) (v lsr 1) in
-    go 0 v
+  if v < 8 then v
+  else begin
+    let rec log2 e v = if v <= 1 then e else log2 (e + 1) (v lsr 1) in
+    let e = log2 0 v in
+    8 * (e - 2) + ((v lsr (e - 3)) land 7)
+  end
+
+let bucket_upper b =
+  if b < 8 then b
+  else begin
+    let e = (b / 8) + 2 and s = b land 7 in
+    ((9 + s) lsl (e - 3)) - 1
+  end
 
 let observe h v =
   let v = max 0 v in
+  let b = bucket_of v in
   Mutex.protect h.lock (fun () ->
-      h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+      h.buckets.(b) <- h.buckets.(b) + 1;
       h.count <- h.count + 1;
       h.sum <- h.sum + v;
       if v < h.hmin then h.hmin <- v;
@@ -116,7 +129,7 @@ let percentile_estimate h q =
       seen := !seen + h.buckets.(!b);
       if !seen < rank then Stdlib.incr b
     done;
-    min h.hmax (if !b = 0 then 1 else (1 lsl (!b + 1)) - 1)
+    min h.hmax (bucket_upper !b)
   end
 
 let histogram_percentile h q =

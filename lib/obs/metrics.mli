@@ -36,9 +36,12 @@ val histogram_count : histogram -> int
 
 val histogram_percentile : histogram -> float -> int
 (** Bucketed estimate of the [q]-th quantile ([q] in [\[0, 1\]]): the
-    upper bound of the power-of-two bucket holding the q-th observation,
-    clamped to the observed maximum — the same estimate the snapshot's
-    [p50]/[p95]/[p99] attrs report. 0 for an empty histogram. *)
+    upper bound of the bucket holding the q-th observation, clamped to
+    the observed maximum — the same estimate the snapshot's
+    [p50]/[p95]/[p99] attrs report. 0 for an empty histogram. Values
+    0–7 have a bucket each; above, each power of two is split into 8
+    linear buckets, so the estimate exceeds the true value by at most
+    12.5 %. *)
 
 (** One registered instrument, flattened for emission. *)
 type snapshot = {

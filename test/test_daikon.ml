@@ -228,29 +228,35 @@ let test_merge_config_mismatch () =
     (Invalid_argument "Daikon.Engine.merge_into: configurations differ")
     (fun () -> Engine.merge_into e1 e2)
 
+(* Small random records over two points and four variables. *)
+let entry_mask = small_mask [ g3; g4; pc0; pc ]
+
+let to_record (pt, a, b, c) =
+  record ~point:pt ~mask:entry_mask
+    [ (g3, a); (g4, b); (pc0, c); (pc, (c + 4) land 0xFFFF_FFFF) ]
+
+(* Value pool chosen to collide often: exercises constancy, one-of death
+   at the cap, orderings, x2/x4 scalings, constant diffs and mod
+   alignment of the Addr-kind PC. *)
+let entry =
+  let values =
+    [ 0; 1; 2; 3; 4; 8; 12; 16; 0x2000; 0x2004; 0x2006; 0xFFFF_FFFF ]
+  in
+  QCheck.Gen.(quad (oneofl [ "l.add"; "l.sub" ]) (oneofl values)
+                (oneofl values) (oneofl [ 0x2000; 0x2004; 0x2006; 0x3000 ]))
+
+let print_entries entries =
+  String.concat "; "
+    (List.map
+       (fun (pt, a, b, c) -> Printf.sprintf "(%s,%d,%d,0x%X)" pt a b c)
+       entries)
+
 (* The property the tentpole rests on: for any record stream split at any
    index, merging the two half-engines yields the same invariant set as
    observing the whole stream sequentially. *)
 let test_merge_matches_sequential =
-  let mask = small_mask [ g3; g4; pc0; pc ] in
-  let to_record (pt, a, b, c) =
-    record ~point:pt ~mask
-      [ (g3, a); (g4, b); (pc0, c); (pc, (c + 4) land 0xFFFF_FFFF) ]
-  in
-  (* Value pool chosen to collide often: exercises constancy, one-of death
-     at the cap, orderings, x2/x4 scalings, constant diffs and mod
-     alignment of the Addr-kind PC. *)
-  let values = [ 0; 1; 2; 3; 4; 8; 12; 16; 0x2000; 0x2004; 0x2006; 0xFFFF_FFFF ] in
-  let entry =
-    QCheck.Gen.(quad (oneofl [ "l.add"; "l.sub" ]) (oneofl values)
-                  (oneofl values) (oneofl [ 0x2000; 0x2004; 0x2006; 0x3000 ]))
-  in
   let print (entries, k) =
-    Printf.sprintf "split@%d [%s]" k
-      (String.concat "; "
-         (List.map
-            (fun (pt, a, b, c) -> Printf.sprintf "(%s,%d,%d,0x%X)" pt a b c)
-            entries))
+    Printf.sprintf "split@%d [%s]" k (print_entries entries)
   in
   let arb =
     QCheck.make ~print
@@ -269,6 +275,122 @@ let test_merge_matches_sequential =
           Engine.merge_into merged (feed_engine suffix);
           strings (Engine.invariants merged) = strings whole
           && Engine.record_count merged = n))
+
+(* ---- the Figure 3 row cache ([Engine.point_keys]) ---- *)
+
+(* The snapshot of [e] with its last point's record count set to 0: a
+   state [decode] accepts, and one whose merge joins candidate state
+   without moving the destination point's count. Without provenance the
+   payload ends with that count, one byte while it is below 128. *)
+let zero_last_count e =
+  let data = Engine.encode e in
+  let r = Util.Binio.reader (String.sub data 8 (String.length data - 8)) in
+  let version = Util.Binio.read_uint r in
+  ignore (Util.Binio.read_string r);
+  ignore (Util.Binio.read_string r);
+  let plen = Util.Binio.read_uint r in
+  let payload = String.sub data (String.length data - plen) plen in
+  assert (version = 1 && Char.code payload.[plen - 1] < 0x80);
+  let payload = String.sub payload 0 (plen - 1) ^ "\000" in
+  let w = Util.Binio.writer () in
+  Util.Binio.write_raw w "SCIFSNAP";
+  Util.Binio.write_uint w version;
+  Util.Binio.write_string w "";
+  Util.Binio.write_string w (Digest.string payload);
+  Util.Binio.write_uint w plen;
+  Util.Binio.contents w ^ payload
+
+type key_op =
+  | Observe of (string * int * int * int)
+  | Merge of (string * int * int * int) list * bool  (* zero the last count *)
+  | Roundtrip
+  | Query
+
+let print_op = function
+  | Observe en -> "observe " ^ print_entries [ en ]
+  | Merge (es, zero) ->
+    Printf.sprintf "merge%s [%s]" (if zero then " (n=0)" else "")
+      (print_entries es)
+  | Roundtrip -> "decode(encode)"
+  | Query -> "query"
+
+(* What [point_keys] must equal: per point, the sorted distinct canonical
+   keys of [invariants] there. *)
+let reference_keys e =
+  let by_point = Hashtbl.create 7 in
+  List.iter
+    (fun (i : Expr.t) ->
+       Hashtbl.replace by_point i.point
+         (Expr.canonical i
+          :: Option.value ~default:[] (Hashtbl.find_opt by_point i.point)))
+    (Engine.invariants e);
+  List.map
+    (fun p ->
+       ( p,
+         List.sort_uniq String.compare
+           (Option.value ~default:[] (Hashtbl.find_opt by_point p)) ))
+    (Engine.points e)
+
+(* After any sequence of observes, merges and snapshot round trips, every
+   point's keys equal the reference, and a point neither observed nor
+   merged since the previous query comes back as the physically same
+   array. *)
+let test_point_keys_exact =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (5, map (fun en -> Observe en) entry);
+          (2, map2 (fun es z -> Merge (es, z)) (list_size (0 -- 6) entry) bool);
+          (1, return Roundtrip);
+          (3, return Query) ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map print_op ops))
+      QCheck.Gen.(list_size (0 -- 30) op)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"point_keys = invariants, per point"
+       arb
+       (fun ops ->
+          let e = ref (Engine.create ~config:Daikon.Config.relaxed ()) in
+          let last = ref [] and touched = ref [] in
+          List.for_all
+            (function
+              | Observe en ->
+                let r = to_record en in
+                Engine.observe !e r;
+                touched := r.Trace.Record.point :: !touched;
+                true
+              | Merge (es, zero) ->
+                let src = feed_engine (List.map to_record es) in
+                let src =
+                  if zero then Engine.decode (zero_last_count src) else src
+                in
+                touched := Engine.points src @ !touched;
+                Engine.merge_into !e src;
+                true
+              | Roundtrip ->
+                e := Engine.decode (Engine.encode !e);
+                last := [];
+                true
+              | Query ->
+                let keys = Engine.point_keys !e in
+                let same =
+                  List.for_all
+                    (fun (p, ks) ->
+                       List.mem p !touched
+                       || match List.assoc_opt p !last with
+                       | Some old -> old == ks
+                       | None -> true)
+                    keys
+                in
+                last := keys;
+                touched := [];
+                same
+                && List.map (fun (p, ks) -> (p, Array.to_list ks)) keys
+                   = reference_keys !e)
+            (ops @ [ Query ])))
 
 let test_record_count () =
   let engine = Engine.create () in
@@ -307,4 +429,5 @@ let () =
          Alcotest.test_case "joined point state" `Quick
            test_merge_joins_point_state;
          Alcotest.test_case "config mismatch" `Quick test_merge_config_mismatch;
-         test_merge_matches_sequential ]) ]
+         test_merge_matches_sequential ]);
+      ("row cache", [ test_point_keys_exact ]) ]

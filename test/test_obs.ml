@@ -151,13 +151,27 @@ let test_histogram_snapshot () =
     (attr "count" = Obs.Sink.I 4 && attr "sum" = Obs.Sink.I 106
      && attr "min" = Obs.Sink.I 1 && attr "max" = Obs.Sink.I 100);
   Alcotest.(check bool) "mean" true (attr "mean" = Obs.Sink.F 26.5);
-  (* Bucketed estimates: upper bound of the rank's power-of-two bucket,
-     clamped to the observed max. *)
-  Alcotest.(check bool) "p50 estimate" true (attr "p50" = Obs.Sink.I 3);
+  (* Bucketed estimates: upper bound of the rank's bucket, clamped to the
+     observed max. 2 has a bucket of its own; 100 lands in 96..103. *)
+  Alcotest.(check bool) "p50 estimate" true (attr "p50" = Obs.Sink.I 2);
   Alcotest.(check bool) "p95 estimate" true (attr "p95" = Obs.Sink.I 100);
   Alcotest.(check bool) "p99 estimate" true (attr "p99" = Obs.Sink.I 100);
   Alcotest.(check bool) "no unit attr unless declared" true
     (List.assoc_opt "unit" s.attrs = None)
+
+(* Observations within one power of two keep distinct percentiles: a
+   bucket spans at most an eighth of its lower bound. *)
+let test_histogram_resolution () =
+  let h = Obs.Metrics.histogram "test.obs.hist_fine" in
+  List.iter (fun k -> Obs.Metrics.observe h (1024 + (100 * k)))
+    (List.init 10 Fun.id);
+  let p q = Obs.Metrics.histogram_percentile h q in
+  Alcotest.(check int) "p50: 1424 lands in 1408..1535" 1535 (p 0.50);
+  Alcotest.(check int) "p95: 1924, the max, caps its bucket" 1924 (p 0.95);
+  let small = Obs.Metrics.histogram "test.obs.hist_small" in
+  List.iter (Obs.Metrics.observe small) [ 0; 0; 5; 7 ];
+  Alcotest.(check (list int)) "values 0-7 are exact" [ 0; 5; 7 ]
+    (List.map (Obs.Metrics.histogram_percentile small) [ 0.5; 0.75; 1.0 ])
 
 let test_histogram_unit () =
   let h = Obs.Metrics.histogram ~unit:"ns" "test.obs.hist_ns" in
@@ -455,6 +469,8 @@ let () =
        [ Alcotest.test_case "gauge high water" `Quick test_gauge;
          Alcotest.test_case "histogram snapshot" `Quick
            test_histogram_snapshot;
+         Alcotest.test_case "percentiles within one power of two" `Quick
+           test_histogram_resolution;
          Alcotest.test_case "units ride snapshots" `Quick
            test_histogram_unit;
          Alcotest.test_case "kind collision" `Quick

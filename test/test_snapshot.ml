@@ -358,6 +358,141 @@ let test_lake_cache_append_invalidates () =
             (lake_session_digest lake)
             (lake_session_digest ~cache_dir:cache lake)))
 
+(* ---- Figure 3 rows against the whole-set diff ----
+
+   Sessions diff per-point key caches ([Daikon.Engine.point_keys]); the
+   oracle is the diff they replaced: every canonical key of
+   [Session.invariants] in one table, diffed against the previous row's
+   table. *)
+
+let oracle_row previous ~label invs =
+  let current = Hashtbl.create 4096 in
+  List.iter (fun i -> Hashtbl.replace current (Expr.canonical i) ()) invs;
+  let unmodified = ref 0 and fresh = ref 0 and deleted = ref 0 in
+  Hashtbl.iter
+    (fun k () ->
+       if Hashtbl.mem !previous k then incr unmodified else incr fresh)
+    current;
+  Hashtbl.iter
+    (fun k () -> if not (Hashtbl.mem current k) then incr deleted)
+    !previous;
+  previous := current;
+  { Pipeline.group_label = label; unmodified = !unmodified; fresh = !fresh;
+    deleted = !deleted; total = Hashtbl.length current }
+
+let pp_row (r : Pipeline.figure3_row) =
+  Printf.sprintf "%s %d/%d/%d/%d" r.group_label r.unmodified r.fresh
+    r.deleted r.total
+
+let check_rows msg expected got =
+  Alcotest.(check (list string)) msg (List.map pp_row expected)
+    (List.map pp_row got)
+
+let workload name = Option.get (Workloads.Suite.by_name name)
+
+(* Random groupings and orders of 3-5 corpus programs through
+   [Session.mine], each group with or without a row: every row equals the
+   oracle's, and a skipped row leaves the oracle's baseline alone too. *)
+let test_session_rows =
+  let plan =
+    QCheck.Gen.(
+      let* k = 3 -- 5 in
+      let* names = shuffle_l Workloads.Suite.names in
+      let names = List.filteri (fun i _ -> i < k) names in
+      let* cuts = list_repeat (k - 1) bool in
+      let* rows = list_repeat k (frequency [ (3, return true); (1, return false) ]) in
+      let groups, last =
+        List.fold_left2
+          (fun (groups, cur) name cut ->
+             if cut then (List.rev (name :: cur) :: groups, [])
+             else (groups, name :: cur))
+          ([], []) names (cuts @ [ true ])
+      in
+      assert (last = []);
+      return
+        (List.combine (List.rev groups)
+           (List.filteri (fun i _ -> i < List.length groups) rows)))
+  in
+  let print plan =
+    String.concat " | "
+      (List.map
+         (fun (g, row) ->
+            String.concat "+" g ^ if row then "" else " (no row)")
+         plan)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:6 ~name:"session rows = whole-set diff"
+       (QCheck.make ~print plan)
+       (fun plan ->
+          let s = Pipeline.Session.create () in
+          let previous = ref (Hashtbl.create 1) in
+          List.for_all
+            (fun (group, row) ->
+               let o =
+                 Pipeline.Session.mine s ~row (List.map workload group)
+               in
+               let expected =
+                 if not row then []
+                 else
+                   [ oracle_row previous ~label:(String.concat "+" group)
+                       (Pipeline.Session.invariants s) ]
+               in
+               o.Pipeline.Session.o_rows = expected)
+            plan))
+
+(* A 3-segment lake at jobs 1 and 2: one row per segment, each equal to
+   the oracle's over the same programs mined live in segment order. *)
+let test_lake_rows () =
+  with_cache_dir (fun lake ->
+      ignore
+        (Pipeline.record_lake ~names:[ "pi"; "helloworld"; "bitcount" ]
+           ~dir:lake ());
+      List.iter
+        (fun jobs ->
+           let s = Pipeline.Session.create ~jobs () in
+           let rows = (Pipeline.Session.mine_lake s lake).Pipeline.figure3 in
+           Alcotest.(check int) "one row per segment" 3 (List.length rows);
+           let live = Pipeline.Session.create () in
+           let previous = ref (Hashtbl.create 1) in
+           let expected =
+             List.map
+               (fun (r : Pipeline.figure3_row) ->
+                  ignore
+                    (Pipeline.Session.mine live ~row:false
+                       [ workload r.group_label ]);
+                  oracle_row previous ~label:r.group_label
+                    (Pipeline.Session.invariants live))
+               rows
+           in
+           check_rows (Printf.sprintf "lake rows at jobs %d" jobs) expected
+             rows)
+        [ 1; 2 ])
+
+(* A warm lake-cache hit seeds the row baseline from the cached summary:
+   the rows of the next mines equal the oracle's from that session. *)
+let test_warm_lake_then_mine () =
+  with_cache_dir (fun lake ->
+      with_cache_dir (fun cache ->
+          ignore (Pipeline.record_lake ~names ~dir:lake ());
+          ignore
+            (Pipeline.Session.mine_lake
+               (Pipeline.Session.create ~cache_dir:cache ()) lake);
+          let hits = summary_hits () in
+          let s = Pipeline.Session.create ~cache_dir:cache () in
+          ignore (Pipeline.Session.mine_lake s lake);
+          Alcotest.(check int) "warm hit" (hits + 1) (summary_hits ());
+          let previous = ref (Hashtbl.create 1) in
+          ignore
+            (oracle_row previous ~label:"" (Pipeline.Session.invariants s));
+          List.iter
+            (fun name ->
+               let o = Pipeline.Session.mine s ~row:true [ workload name ] in
+               check_rows ("after the warm hit: " ^ name)
+                 [ oracle_row previous ~label:name
+                     (Pipeline.Session.invariants s) ]
+                 o.Pipeline.Session.o_rows)
+            [ "fft"; "pi" ]))
+
 let () =
   Alcotest.run "snapshot"
     [ ("engine",
@@ -382,4 +517,10 @@ let () =
        [ Alcotest.test_case "warm equals cold (digest-keyed)" `Quick
            test_lake_cache_warm_equals_cold;
          Alcotest.test_case "append invalidates" `Quick
-           test_lake_cache_append_invalidates ]) ]
+           test_lake_cache_append_invalidates ]);
+      ("figure 3 rows",
+       [ test_session_rows;
+         Alcotest.test_case "lake segments at jobs 1 and 2" `Quick
+           test_lake_rows;
+         Alcotest.test_case "warm lake hit, then mine" `Quick
+           test_warm_lake_then_mine ]) ]
